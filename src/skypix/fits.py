@@ -76,7 +76,9 @@ def _parse_card(raw):
         start = body.index("'")
         end = start + 1
         while True:
-            end = body.index("'", end)
+            end = body.find("'", end)
+            if end < 0:
+                raise FormatError("unterminated string in card %r" % key)
             if body[end + 1:end + 2] == "'":   # escaped quote
                 end += 2
                 continue

@@ -8,8 +8,14 @@ so ``bins=10`` yields 11 values.  The variogram estimator is the classical
     gamma(h) = (1 / (2 N_h)) * sum over pairs at lag h of (Y1 - Y2)^2
 
 and reports only the positive-lag bins.  The covariance subtracts the
-global sample mean.  Above ``pair_budget`` enumerated pairs, a seeded
-uniform subsample of pairs (with replacement) stands in and bin counts are
+global sample mean.
+
+Pairs are exact within ``max_dist``: a k-d tree over the unit vectors
+enumerates only the pairs whose chord can put them in range, block pair by
+block pair, so memory stays bounded whatever ``max_dist`` is.  The budget
+(``pair_budget``, default ``PAIR_BUDGET``) applies to the pairs in range,
+not to all n(n-1)/2: above it, a seeded uniform subsample of
+``pair_budget`` pair draws (with replacement) stands in and bin counts are
 rescaled to the full pair population.
 """
 
@@ -18,11 +24,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..errors import DomainError, FormatError
 from ..rng import numpy_generator
 
 PAIR_BUDGET = 50_000_000
+_BLOCK = 256       # rows per k-d tree block of the exact pass, at most
+_SLICE = 1 << 20   # pairs binned at once, at most
 
 
 @dataclass
@@ -75,9 +84,73 @@ class EmpiricalCurve:
         return cls(lags, values, counts, float(lags.max()), bins)
 
 
+def _blocks(tree):
+    """Ranges of at most ``_BLOCK`` rows of ``tree.indices``, each within
+    one k-d subtree, so spatially compact.  A leaf holds more rows only
+    when they share one position, and is cut into several ranges."""
+    ranges, nodes = [], [tree.tree]
+    while nodes:
+        node = nodes.pop()
+        if node.children > _BLOCK and node.lesser is not None:
+            nodes += [node.greater, node.lesser]
+        else:
+            ranges += [(lo, min(lo + _BLOCK, node.end_idx))
+                       for lo in range(node.start_idx, node.end_idx, _BLOCK)]
+    return ranges
+
+
+def _bounding_spheres(pos, ranges):
+    """Center and chord radius enclosing the rows of each range."""
+    centers = np.array([pos[lo:hi].mean(axis=0) for lo, hi in ranges])
+    radii = np.array([np.linalg.norm(pos[lo:hi] - c, axis=1).max()
+                      for (lo, hi), c in zip(ranges, centers)])
+    return centers, radii
+
+
+def _surely_in_range(ranges, centers, radii, max_dist):
+    """Pairs certain to lie at lag <= max_dist, zero lags included: those
+    of every block pair whose bounding spheres fit within the chord of
+    ``max_dist - 1e-6``, a margin rounding cannot cross.  At
+    ``max_dist = pi`` every pair qualifies."""
+    reach = (math.inf if max_dist >= math.pi
+             else 2 * math.sin(max(max_dist - 1e-6, 0.0) / 2))
+    sizes = np.array([hi - lo for lo, hi in ranges])
+    total = 0
+    for a in range(len(ranges)):
+        gap = np.linalg.norm(centers[a + 1:] - centers[a], axis=1)
+        close = gap + radii[a] + radii[a + 1:] <= reach
+        total += int(sizes[a] * sizes[a + 1:][close].sum())
+        if 2 * radii[a] <= reach:
+            total += int(sizes[a] * (sizes[a] - 1) // 2)
+    return total
+
+
+def _pairs_within(pos, ranges, centers, radii, max_dist):
+    """Yield ``(i, j)`` row arrays holding, once each, every pair of rows
+    of ``pos`` whose chord may put it within ``max_dist``, one block pair
+    (at most ``_BLOCK**2`` pairs) at a time."""
+    chord = 2 * math.sin(max_dist / 2) * (1 + 1e-9)
+    trees = [cKDTree(pos[lo:hi]) for lo, hi in ranges]
+    for a, (lo, _) in enumerate(ranges):
+        gap = np.linalg.norm(centers[a:] - centers[a], axis=1)
+        for b in a + np.flatnonzero(gap - radii[a] - radii[a:] <= chord):
+            m = trees[a].sparse_distance_matrix(trees[b], chord,
+                                                output_type="ndarray")
+            i, j = m["i"], m["j"]
+            if a == b:
+                upper = j > i
+                i, j = i[upper], j[upper]
+            yield lo + i, ranges[b][0] + j
+
+
 def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
     """Accumulate per-bin pair sums; mode 'cov' sums a_i*a_j of centered
-    values, mode 'vario' sums squared differences."""
+    values, mode 'vario' sums squared differences.
+
+    Every pair in range is binned when at most ``pair_budget`` are;
+    otherwise a seeded uniform subsample of ``pair_budget`` draws (pairs
+    with i < j kept) stands in and counts are rescaled to all n(n-1)/2
+    pairs."""
     if not 0 < max_dist <= math.pi:
         raise DomainError("max_dist must be in (0, pi]")
     if bins < 1:
@@ -89,50 +162,59 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
     xyz = frame.positions()
     width = max_dist / bins
     centered = values - values.mean()
-
+    field = centered if mode == "cov" else values
     sums = np.zeros(bins)
-    counts = np.zeros(bins, dtype=np.float64)
+    counts = np.zeros(bins)
 
-    def accumulate(d, prod_or_sq):
-        inside = (d > 0) & (d <= max_dist)
-        idx = np.ceil(d[inside] / width).astype(np.int64) - 1
-        idx = np.clip(idx, 0, bins - 1)
-        np.add.at(sums, idx, prod_or_sq[inside])
-        np.add.at(counts, idx, 1.0)
+    def accumulate(pos, fld, i, j):
+        """Bin the pairs (i, j) of rows of ``pos``/``fld`` that are in
+        range, a slice at a time, in pair order; return how many were."""
+        binned = 0
+        for lo in range(0, len(i), _SLICE):
+            a, b = i[lo:lo + _SLICE], j[lo:lo + _SLICE]
+            d = np.einsum("ij,ij->i", pos.take(a, axis=0), pos.take(b, axis=0))
+            np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
+            inside = (d > 0) & (d <= max_dist)
+            if not inside.all():
+                a, b, d = a[inside], b[inside], d[inside]
+            fa, fb = fld.take(a), fld.take(b)
+            prod = fa * fb if mode == "cov" else (fa - fb) ** 2
+            idx = np.ceil(d / width).astype(np.int64) - 1   # >= 0 as d > 0
+            np.minimum(idx, bins - 1, out=idx)
+            np.add.at(sums, idx, prod)
+            np.add.at(counts, idx, 1.0)
+            binned += len(idx)
+        return binned
 
-    total_pairs = n * (n - 1) // 2
-    if total_pairs <= pair_budget:
-        block = max(1, int(2e7) // max(n, 1))
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            dots = np.clip(xyz[lo:hi] @ xyz.T, -1.0, 1.0)
-            d = np.arccos(dots)
-            # keep strict upper triangle of the global pair matrix
-            rows = np.arange(lo, hi)[:, None]
-            cols = np.arange(n)[None, :]
-            upper = cols > rows
-            d = np.where(upper, d, np.nan)
-            if mode == "cov":
-                prod = centered[lo:hi, None] * centered[None, :]
-            else:
-                prod = (values[lo:hi, None] - values[None, :]) ** 2
-            flat = ~np.isnan(d.ravel())
-            accumulate(d.ravel()[flat], prod.ravel()[flat])
-        scale = 1.0
-    else:
-        rng = numpy_generator(seed)
-        m = int(pair_budget)
-        i = rng.integers(0, n, size=m)
-        j = rng.integers(0, n, size=m)
-        keep = i < j
-        i, j = i[keep], j[keep]
-        d = np.arccos(np.clip(np.einsum("ij,ij->i", xyz[i], xyz[j]), -1, 1))
-        if mode == "cov":
-            prod = centered[i] * centered[j]
+    # The exact pass runs on rows in k-d tree order, where every block is
+    # a contiguous, spatially compact slice.
+    tree = cKDTree(xyz)
+    ranges = _blocks(tree)
+    pos, fld = xyz[tree.indices], field[tree.indices]
+    centers, radii = _bounding_spheres(pos, ranges)
+    surely = _surely_in_range(ranges, centers, radii, max_dist)
+    if surely > pair_budget:
+        # rows closer than 1e-7 may sit at lag zero, outside every bin
+        surely -= (tree.count_neighbors(tree, 1e-7) - n) // 2
+    if surely <= pair_budget:
+        in_range = 0
+        for i, j in _pairs_within(pos, ranges, centers, radii, max_dist):
+            in_range += accumulate(pos, fld, i, j)
+            if in_range > pair_budget:
+                break
         else:
-            prod = (values[i] - values[j]) ** 2
-        accumulate(d, prod)
-        scale = total_pairs / len(i)
+            return values, centered, sums, counts, counts, width
+        sums[:] = 0.0
+        counts[:] = 0.0
+    rng = numpy_generator(seed)
+    m = int(pair_budget)
+    i = rng.integers(0, n, size=m)
+    j = rng.integers(0, n, size=m)
+    keep = i < j
+    i = i[keep]
+    j = j[keep]
+    accumulate(xyz, field, i, j)
+    scale = n * (n - 1) // 2 / len(i)
     return values, centered, sums, counts * scale, counts, width
 
 

@@ -100,16 +100,20 @@ def q_statistic(frame, column, strata):
     if not strata:
         raise StratificationError("no strata given")
     parts = [extract_window(frame, region) for region in strata]
-    seen = {}
     for k, part in enumerate(parts):
         if len(part) == 0:
             raise StratificationError("stratum %d holds no pixels" % k)
-        for pix in part.pix:
-            if pix in seen:
-                raise StratificationError(
-                    "strata overlap on pixel %d (strata %d and %d)"
-                    % (pix, seen[pix], k))
-            seen[pix] = k
+    # a key may repeat within one stratum (hp frames), not across two
+    keys = np.concatenate([p.pix for p in parts])
+    owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    order = np.lexsort((owner, keys))
+    keys, owner = keys[order], owner[order]
+    shared = np.flatnonzero((keys[1:] == keys[:-1]) & (owner[1:] != owner[:-1]))
+    if shared.size:
+        k = shared[0]
+        raise StratificationError(
+            "strata overlap on pixel %d (strata %d and %d)"
+            % (keys[k], owner[k], owner[k + 1]))
     values = [np.asarray(p.column(column), dtype=np.float64) for p in parts]
     pooled = np.concatenate(values)
     total_var = pooled.var()

@@ -225,7 +225,12 @@ def fit_variogram(curve, family, weights="equal", fix_nugget=True, init=None,
     _, kdefault, kcheck = _KAPPA_RULES[family]
 
     def objective(u):
-        sigmasq, psi, kappa, nugget = unpack(u)
+        try:
+            sigmasq, psi, kappa, nugget = unpack(u)
+        except OverflowError:
+            # a parameter the curve does not pin down drifted off the
+            # float range (sinepower ignores psi)
+            return 1e30
         if family == "multiquadric" and psi >= 1:
             return 1e30
         if uses_kappa and not kcheck(kappa):

@@ -54,6 +54,15 @@ def test_info_missing_file_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_info_unterminated_card_exits_2(runner, small_map, tmp_path):
+    blob = small_map.read_bytes()
+    assert b"= 'NESTED  '" in blob
+    bad = tmp_path / "bad.fits"
+    bad.write_bytes(blob.replace(b"= 'NESTED  '", b"= 'NESTED   ", 1))
+    result = runner.invoke(cli.main, ["info", str(bad)])
+    assert result.exit_code == 2
+
+
 def test_mkfits_round_trip(runner, tmp_path):
     out = tmp_path / "fixture.fits"
     result = invoke(runner, ["mkfits", str(out), "--nside", "4",

@@ -12,26 +12,43 @@ from skypix.geostat import (EmpiricalCurve, empirical_covariance,
 
 
 def brute_curves(xyz, values, max_dist, bins):
-    """Direct per-pair evaluation of both binned estimators."""
+    """Direct per-pair evaluation of both binned estimators; the lag of a
+    pair is arccos of its clipped einsum dot product, as specified."""
     n = len(values)
     width = max_dist / bins
     centered = values - values.mean()
     cov_sum = np.zeros(bins)
     var_sum = np.zeros(bins)
     counts = np.zeros(bins)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = math.acos(max(-1.0, min(1.0, float(xyz[i] @ xyz[j]))))
-            if d <= 0 or d > max_dist:
-                continue
-            b = min(bins - 1, int(math.ceil(d / width)) - 1)
-            cov_sum[b] += centered[i] * centered[j]
-            var_sum[b] += (values[i] - values[j]) ** 2
-            counts[b] += 1
+    iu, ju = np.triu_indices(n, k=1)
+    lags = np.arccos(np.clip(np.einsum("ij,ij->i", xyz[iu], xyz[ju]), -1, 1))
+    for i, j, d in zip(iu, ju, lags):
+        if d <= 0 or d > max_dist:
+            continue
+        b = min(bins - 1, int(math.ceil(d / width)) - 1)
+        cov_sum[b] += centered[i] * centered[j]
+        var_sum[b] += (values[i] - values[j]) ** 2
+        counts[b] += 1
     with np.errstate(invalid="ignore"):
         cov = np.where(counts > 0, cov_sum / np.maximum(counts, 1), np.nan)
         var = np.where(counts > 0, var_sum / (2 * np.maximum(counts, 1)), np.nan)
     return cov, var, counts
+
+
+def edge_frame():
+    """Six points on the equator, as explicit coordinates."""
+    phi = np.array([0.0, 0.3, 0.6, 1.7, 2.9, 0.45])
+    theta = np.full(phi.size, math.pi / 2)
+    values = np.array([0.5, -1.0, 2.0, 0.25, 1.5, -0.75])
+    pix = sp.ang2pix(4, theta, phi, sp.NESTED)
+    return frame.SkyFrame(pix, sp.NESTED, 4, {"I": values}, mode=frame.HP,
+                          coords=(theta, phi))
+
+
+def pair_lag(f, i, j):
+    xyz = f.positions()
+    dot = np.einsum("ij,ij->i", xyz[[i]], xyz[[j]])
+    return float(np.arccos(np.clip(dot, -1, 1))[0])
 
 
 @pytest.fixture
@@ -42,17 +59,41 @@ def random_frame():
                           {"I": rng.normal(size=100)})
 
 
+def edge_cases():
+    """(frame, max_dist, bins): a pair at exactly max_dist, just beyond
+    it, and exactly on the edge between bins 0 and 1."""
+    f = edge_frame()
+    at_max = pair_lag(f, 0, 2)
+    return [(f, at_max, 4), (f, np.nextafter(at_max, 0.0), 4),
+            (f, 2 * pair_lag(f, 0, 1), 2)]
+
+
 def test_estimators_match_brute_force(random_frame):
-    max_dist, bins = 2.0, 7
-    cov = empirical_covariance(random_frame, "I", max_dist, bins)
-    var = empirical_variogram(random_frame, "I", max_dist, bins)
-    bcov, bvar, bcounts = brute_curves(random_frame.positions(),
-                                       random_frame.columns["I"],
-                                       max_dist, bins)
-    assert_allclose(cov.values[1:], bcov, rtol=1e-12)
-    assert_allclose(var.values, bvar, rtol=1e-12)
-    assert_array_equal(cov.counts[1:], bcounts)
-    assert_array_equal(var.counts, bcounts)
+    cases = [(random_frame, 2.0, 7), (random_frame, 0.4, 5),
+             (random_frame, math.pi, 9)] + edge_cases()
+    for f, max_dist, bins in cases:
+        cov = empirical_covariance(f, "I", max_dist, bins)
+        var = empirical_variogram(f, "I", max_dist, bins)
+        bcov, bvar, bcounts = brute_curves(f.positions(), f.columns["I"],
+                                           max_dist, bins)
+        assert_allclose(cov.values[1:], bcov, rtol=1e-12)
+        assert_allclose(var.values, bvar, rtol=1e-12)
+        assert_array_equal(cov.counts[1:], bcounts)
+        assert_array_equal(var.counts, bcounts)
+
+
+def test_pair_at_max_dist_and_on_bin_edge_placement():
+    (f, at_max, _), (_, below, _), (_, edge, _) = edge_cases()
+    # (0, 2) at exactly max_dist counts, in the last bin; just beyond, not
+    pair = f.take([0, 2])
+    assert_array_equal(empirical_variogram(pair, "I", at_max, 4).counts,
+                       [0, 0, 0, 1])
+    assert_array_equal(empirical_variogram(pair, "I", below, 4).counts,
+                       [0, 0, 0, 0])
+    # (0, 1) on the edge between bins 0 and 1 falls in the lower bin
+    assert pair_lag(f, 0, 1) == edge / 2
+    assert_array_equal(empirical_variogram(f.take([0, 1]), "I", edge, 2).counts,
+                       [1, 0])
 
 
 def test_covariance_has_bins_plus_one_values(random_frame):
@@ -124,6 +165,36 @@ def test_pair_subsampling_close_to_exact():
     assert_allclose(sub.values, exact.values, rtol=0.2)
     again = empirical_variogram(f, "I", 2.0, 4, pair_budget=40000, seed=3)
     assert_array_equal(sub.values, again.values)
+
+
+def test_pair_budget_counts_pairs_in_range():
+    # 768 rows make 294,528 pairs, of which only a few thousand lie within
+    # 0.2 rad: a budget between the two keeps the estimate exact
+    rng = np.random.default_rng(6)
+    f = frame.full_frame(8, columns={"I": rng.normal(size=sp.npix(8))})
+    exact = empirical_variogram(f, "I", 0.2, 4)
+    in_range = int(exact.counts.sum())
+    assert 0 < in_range < len(f) * (len(f) - 1) // 2 // 10
+    at_budget = empirical_variogram(f, "I", 0.2, 4, pair_budget=in_range)
+    assert_array_equal(at_budget.counts, exact.counts)
+    assert_allclose(at_budget.values, exact.values, rtol=1e-12)
+    over = empirical_variogram(f, "I", 0.2, 4, pair_budget=in_range - 1)
+    assert not np.array_equal(over.counts, exact.counts)
+
+
+def test_coincident_rows_do_not_count_towards_budget():
+    # 1200 observations at one position and three elsewhere: 720k pairs lie
+    # at lag zero, outside every bin, and only 3,603 pairs are in range
+    theta = np.concatenate([np.full(1200, math.pi / 2), [1.0, 2.0, 2.5]])
+    phi = np.concatenate([np.zeros(1200), [0.2, 3.0, 5.0]])
+    pix = sp.ang2pix(4, theta, phi, sp.NESTED)
+    f = frame.SkyFrame(pix, sp.NESTED, 4, {"I": np.arange(1203.0)},
+                       mode=frame.HP, coords=(theta, phi))
+    assert pair_lag(f, 0, 1) == 0.0
+    exact = empirical_variogram(f, "I", math.pi, 6)
+    assert exact.counts.sum() == 1200 * 3 + 3
+    budgeted = empirical_variogram(f, "I", math.pi, 6, pair_budget=3603)
+    assert_array_equal(budgeted.counts, exact.counts)
 
 
 def test_empty_bins_flagged():

@@ -206,6 +206,17 @@ def test_open_rejects_unsupported_tform(tmp_path, small_map):
         fits.open_map(bad)
 
 
+def test_open_rejects_unterminated_string_card(tmp_path, small_map):
+    blob = bytearray(small_map.read_bytes())
+    start = blob.find(b"= 'NESTED")
+    end = blob.index(b"'", start + 3)
+    blob[end:end + 1] = b" "
+    bad = tmp_path / "unterminated.fits"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="unterminated string"):
+        fits.open_map(bad)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(FormatError):
         fits.open_map(tmp_path / "nope.fits")

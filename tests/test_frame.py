@@ -47,8 +47,17 @@ def test_cmb_coordinates_derive_from_centers(map_source):
 
 
 def test_cmb_mode_rejects_duplicate_keys():
-    with pytest.raises(UniquenessError):
-        frame.SkyFrame([1, 1], "nested", 1, {})
+    for keys in ([1, 1], [5, 2, 5], [7, 3, 9, 3]):
+        with pytest.raises(UniquenessError):
+            frame.SkyFrame(keys, "nested", 2, {})
+
+
+def test_cmb_mode_accepts_unsorted_unique_keys():
+    ring = frame.full_frame(4).with_scheme(sp.RING)
+    assert np.any(np.diff(ring.pix) < 0)
+    assert_array_equal(np.sort(ring.pix), np.arange(1, sp.npix(4) + 1))
+    again = frame.SkyFrame(ring.pix[::-1], sp.RING, 4)
+    assert len(again) == sp.npix(4)
 
 
 def test_column_length_mismatch():

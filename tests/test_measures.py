@@ -177,6 +177,24 @@ def test_qstat_errors():
         q_statistic(f, "I", [])
 
 
+def test_qstat_repeated_key_within_one_stratum():
+    # hp frame: three observations share pixel 1, all in the north cap
+    theta = np.array([0.01, 0.012, 0.011, 3.0, 3.1])
+    phi = np.array([0.1, 0.2, 0.3, 1.0, 2.0])
+    pix = sp.ang2pix(4, theta, phi, sp.NESTED)
+    assert len(np.unique(pix)) < len(pix)
+    f = frame.SkyFrame(pix, sp.NESTED, 4, {"I": [1.0, 2.0, 3.0, 4.0, 6.0]},
+                       mode=frame.HP, coords=(theta, phi))
+    north, south = geom.disc(0.0, 0.0, 1.0), geom.disc(math.pi, 0.0, 1.0)
+    q = q_statistic(f, "I", [north, south])
+    within = 3 * np.var([1.0, 2.0, 3.0]) + 2 * np.var([4.0, 6.0])
+    assert q == pytest.approx(1 - within / (5 * np.var([1, 2, 3, 4, 6.0])))
+    # the same pixel in two strata names both
+    with pytest.raises(StratificationError,
+                       match=r"pixel %d \(strata 0 and 2\)" % pix[0]):
+        q_statistic(f, "I", [north, south, geom.disc(0.0, 0.0, 0.05)])
+
+
 # ---------------------------------------------------------------------------
 # QQ pairs
 

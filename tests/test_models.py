@@ -158,6 +158,20 @@ def test_fit_weight_options():
         fit_variogram(curve, "exponential", weights="volume")
 
 
+def test_fit_survives_parameter_drift_to_overflow():
+    # sinepower ignores psi, so the simplex can walk log(psi) until exp()
+    # overflows; such points score as invalid and the fit still reports
+    lags = (np.arange(1, 31) - 0.5) * (0.1 / 30)
+    noise = np.random.default_rng(1).standard_normal(30)
+    values = 1.0 - 0.9 * np.exp(-lags / 0.01) + 0.01 * noise
+    curve = EmpiricalCurve(lags, values, np.full(30, 1000.0), 0.1, 30)
+    fit = fit_variogram(curve, "sinepower", seed=4)
+    params = [fit.model.sigmasq, fit.model.psi, fit.model.kappa]
+    assert all(math.isfinite(p) for p in params)
+    assert isinstance(fit.converged, bool)
+    assert fit.objective < 1e30
+
+
 def test_fit_insufficient_bins():
     curve = EmpiricalCurve([0.1, 0.2], [0.5, 0.6], [3.0, 3.0], 0.3, 2)
     with pytest.raises(DomainError):
