@@ -1,0 +1,64 @@
+"""Column-wise CSV tables: the one writer and reader behind the frame,
+curve and spectrum files.
+
+A table is a header row followed by rows ending in CRLF, as ``csv.writer``
+writes them.  The leading key columns are integers written with ``str``;
+every other column is float64 written as the shortest ``repr``, so values
+round-trip bit for bit.  Keys are parsed as int64 and never pass through
+float64, which holds them exactly up to ``12 * 4**29``.
+"""
+
+import csv
+import warnings
+
+import numpy as np
+
+CHUNK = 1 << 16   # rows joined into text at once
+
+
+def _float_text(col):
+    """Shortest ``repr`` of each float64 in ``col``.  Each distinct bit
+    pattern is formatted once (HEALPix rings share one colatitude); bits,
+    not values, tell ``-0.0`` from ``0.0``."""
+    col = np.ascontiguousarray(col, dtype=np.float64)
+    bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(np.float64).tolist()],
+                    dtype=object)
+    return text[inverse].tolist()
+
+
+def write_table(path, header, keys, values):
+    """Write ``header``, then one row per index: the integer ``keys``
+    arrays first, then the ``values`` columns as float64."""
+    n = len(keys[0] if keys else values[0])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, n, CHUNK):
+            cells = [map(str, k[lo:lo + CHUNK].tolist()) for k in keys]
+            cells += [_float_text(v[lo:lo + CHUNK]) for v in values]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def read_table(path, check_header, keys, error):
+    """Header and columns of a table written by :func:`write_table`.
+
+    ``check_header`` vets the header row before the body is parsed; the
+    first ``keys`` columns come back as int64, the rest as float64.  Empty
+    lines are skipped, and a malformed cell raises ``error`` naming the
+    file.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+        check_header(header)
+        dtype = np.dtype([("f%d" % i, np.int64 if i < keys else np.float64)
+                          for i in range(len(header))])
+        with warnings.catch_warnings():
+            # a header without rows is an empty table, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                data = np.loadtxt(fh, dtype=dtype, delimiter=",",
+                                  comments=None, ndmin=1)
+            except ValueError as exc:
+                raise error("malformed CSV %s: %s" % (path, exc)) from None
+    # contiguous columns, not strided views pinning the whole record array
+    return header, [data[name].copy() for name in dtype.names]

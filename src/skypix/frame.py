@@ -7,14 +7,14 @@ frames allow repeated keys (several observations in one pixel) and may
 carry explicit per-row coordinates.
 """
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import healpix
-from .errors import (AddressingError, DomainError, SchemaError,
+from .csvio import read_table, write_table
+from .errors import (AddressingError, DomainError, FormatError, SchemaError,
                      UniquenessError)
 from .geom import WindowSet, sph2cart
 from .rng import sample_without_replacement
@@ -121,8 +121,13 @@ def frame_from_map(src, rows=None, sample_size=None, seed=0, columns=None):
 
     ``rows`` selects explicit 1-based row indices (sorted, unique);
     ``sample_size`` draws a seeded simple random sample instead.  Pixel
-    indices equal the selected row indices under the header's ordering.
+    indices equal the selected row indices under the header's ordering,
+    so the map must hold one row per pixel.
     """
+    if src.row_count != healpix.npix(src.nside):
+        raise FormatError("%s holds %d rows; NSIDE %d needs %d"
+                          % (src.path, src.row_count, src.nside,
+                             healpix.npix(src.nside)))
     if rows is not None and sample_size is not None:
         raise DomainError("pass rows or sample_size, not both")
     scheme = src.ordering or healpix.RING
@@ -284,16 +289,10 @@ def write_csv(frame, path):
     """Write ``pix,theta,phi`` plus data columns at full precision, with a
     JSON metadata sidecar next to the file."""
     theta, phi = frame.angles()
-    theta = np.atleast_1d(theta)
-    phi = np.atleast_1d(phi)
-    names = frame.column_names
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pix", "theta", "phi"] + names)
-        for i in range(len(frame)):
-            row = [int(frame.pix[i]), repr(float(theta[i])), repr(float(phi[i]))]
-            row += [repr(float(frame.columns[n][i])) for n in names]
-            writer.writerow(row)
+    values = [np.atleast_1d(theta), np.atleast_1d(phi)]
+    values += [frame.columns[n] for n in frame.column_names]
+    write_table(path, ["pix", "theta", "phi"] + frame.column_names,
+                [frame.pix], values)
     meta = {"nside": frame.nside, "ordering": frame.scheme, "mode": frame.mode}
     with open(_sidecar_path(path), "w") as fh:
         json.dump(meta, fh, sort_keys=True)
@@ -307,17 +306,14 @@ def read_csv(path):
             meta = json.load(fh)
     except FileNotFoundError:
         raise SchemaError("missing metadata sidecar %s" % _sidecar_path(path))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+
+    def check_header(header):
         if header[:3] != ["pix", "theta", "phi"]:
             raise SchemaError("frame CSV must start with pix,theta,phi")
-        rows = list(reader)
-    pix = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    theta = np.array([float(r[1]) for r in rows])
-    phi = np.array([float(r[2]) for r in rows])
-    cols = {name: np.array([float(r[3 + i]) for r in rows])
-            for i, name in enumerate(header[3:])}
+
+    header, (pix, theta, phi, *data) = read_table(path, check_header, 1,
+                                                  SchemaError)
+    cols = dict(zip(header[3:], data))
     mode = meta.get("mode", CMB)
     coords = (theta, phi) if mode == HP else None
     return SkyFrame(pix, meta["ordering"], int(meta["nside"]), cols, mode,

@@ -19,13 +19,13 @@ not to all n(n-1)/2: above it, a seeded uniform subsample of
 rescaled to the full pair population.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ..csvio import read_table, write_table
 from ..errors import DomainError, FormatError
 from ..rng import numpy_generator
 
@@ -61,24 +61,19 @@ class EmpiricalCurve:
             raise DomainError("populated bins must hold finite values")
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lag", "value", "count"])
-            for lag, value, count in zip(self.lags, self.values, self.counts):
-                writer.writerow([repr(float(lag)), repr(float(value)),
-                                 repr(float(count))])
+        write_table(path, ["lag", "value", "count"], [],
+                    [self.lags, self.values, self.counts])
 
     @classmethod
     def read_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
+        def check_header(header):
             if header != ["lag", "value", "count"]:
                 raise FormatError("curve CSV must have lag,value,count header")
-            rows = [(float(a), float(b), float(c)) for a, b, c in reader]
-        lags = np.array([r[0] for r in rows])
-        values = np.array([r[1] for r in rows])
-        counts = np.array([r[2] for r in rows])
+
+        _, (lags, values, counts) = read_table(path, check_header, 0,
+                                               FormatError)
+        if not lags.size:
+            raise FormatError("curve CSV %s has no rows" % path)
         positive = lags > 0
         bins = int(positive.sum())
         return cls(lags, values, counts, float(lags.max()), bins)
@@ -174,6 +169,13 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
             a, b = i[lo:lo + _SLICE], j[lo:lo + _SLICE]
             d = np.einsum("ij,ij->i", pos.take(a, axis=0), pos.take(b, axis=0))
             np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
+            # a self dot product may round below 1: coincident rows sit at
+            # lag zero, outside every bin, wherever they are
+            near = np.flatnonzero(d < 1e-7)
+            if near.size:
+                same = np.all(pos.take(a[near], axis=0)
+                              == pos.take(b[near], axis=0), axis=1)
+                d[near[same]] = 0.0
             inside = (d > 0) & (d <= max_dist)
             if not inside.all():
                 a, b, d = a[inside], b[inside], d[inside]

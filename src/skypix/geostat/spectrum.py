@@ -11,11 +11,11 @@ evaluated here with the three-term recurrence
 ``l >= 1``; an absent monopole/dipole defaults to zero with a diagnostic.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..csvio import read_table, write_table
 from ..errors import DomainError, FormatError
 
 C_L = "C_l"
@@ -119,22 +119,16 @@ def cov_from_power_spectrum(ps, lmax, grid):
 # two-column CSV with a convention-bearing header
 
 def write_spectrum_csv(ps, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", ps.convention])
-        for l, v in zip(ps.ell, ps.values):
-            writer.writerow([int(l), repr(float(v))])
+    write_table(path, ["l", ps.convention], [ps.ell], [ps.values])
 
 
 def read_spectrum_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    def check_header(header):
         if len(header) != 2 or header[0] != "l" or header[1] not in (C_L, D_L):
             raise FormatError(
                 "spectrum CSV needs header 'l,C_l' or 'l,D_l', got %r" % header)
-        rows = [(int(a), float(b)) for a, b in reader if a.strip()]
-    if not rows:
+
+    header, (ell, values) = read_table(path, check_header, 1, FormatError)
+    if not ell.size:
         raise FormatError("empty spectrum file")
-    return PowerSpectrum(np.array([r[0] for r in rows]),
-                         np.array([r[1] for r in rows]), header[1])
+    return PowerSpectrum(ell, values, header[1])

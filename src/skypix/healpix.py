@@ -348,6 +348,16 @@ def ang2pix(nside, theta, phi, scheme=RING):
     """1-based index of the pixel containing direction ``(theta, phi)``."""
     nside = _check_nside(nside)
     _check_scheme(scheme)
+    if np.ndim(theta) == 0 and np.ndim(phi) == 0:
+        # one direction: the same zone arithmetic on numpy scalars, without
+        # the masking, costs a quarter of the 1-element array path
+        theta, phi = np.float64(theta), np.float64(phi)
+        if not (np.isfinite(theta) and np.isfinite(phi)):
+            raise DomainError("non-finite direction")
+        z, tt, rtz = _zphi_quadrants(theta, phi)
+        if abs(z) > 2.0 / 3.0:
+            return int(_polar_zone_pix(nside, tt, z, rtz, scheme)) + 1
+        return int(_eq_zone_pix(nside, tt, z, scheme)) + 1
     theta_a = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi_a = np.atleast_1d(np.asarray(phi, dtype=np.float64))
     if not (np.all(np.isfinite(theta_a)) and np.all(np.isfinite(phi_a))):
@@ -362,8 +372,6 @@ def ang2pix(nside, theta, phi, scheme=RING):
     if np.any(polar):
         out[polar] = _polar_zone_pix(nside, tt[polar], z[polar], rtz[polar], scheme)
     out += 1
-    if np.ndim(theta) == 0 and np.ndim(phi) == 0:
-        return int(out[0])
     return out
 
 
@@ -576,12 +584,14 @@ def nest_search(nside, target, count_visits=False):
 
     theta = np.arccos(np.clip(xyz[:, 2], -1.0, 1.0))
     phi = np.arctan2(xyz[:, 1], xyz[:, 0]) % (2 * np.pi)
-    best = np.atleast_1d(ang2pix(nside, theta, phi, NESTED))
+    if single:
+        result = ang2pix(nside, theta[0], phi[0], NESTED)
+    else:
+        result = ang2pix(nside, theta, phi, NESTED)
     # candidate accounting for the hierarchical scheme: 12 base cells, then
     # the 4 children of the current cell per level (the planar arithmetic
     # collapses each level's inspection to constant work)
     visits = 12 + 4 * (nside.bit_length() - 1)
-    result = int(best[0]) if single else best
     if count_visits:
         return result, visits
     return result

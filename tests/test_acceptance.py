@@ -4,7 +4,7 @@ lines stream)."""
 
 import functools
 import math
-import time
+import timeit
 
 import numpy as np
 import pytest
@@ -117,14 +117,12 @@ def test_criterion_06():
     centers256 = sp.pix2vec(nside, np.arange(1, sp.npix(nside) + 1), sp.NESTED)
     target = np.array([0.6, 0.8, 0.0])
     sp.nest_search(nside, target)
-    t0 = time.perf_counter()
-    for _ in range(100):
-        sp.nest_search(nside, target)
-    hier = (time.perf_counter() - t0) / 100
-    t0 = time.perf_counter()
-    for _ in range(30):
-        int(np.argmax(centers256 @ target))
-    linear = (time.perf_counter() - t0) / 30
+    # per-call time of the fastest of 5 batches: slower batches measure
+    # what else the machine was doing, not the code
+    hier = min(timeit.repeat(lambda: sp.nest_search(nside, target),
+                             number=100, repeat=5)) / 100
+    linear = min(timeit.repeat(lambda: int(np.argmax(centers256 @ target)),
+                               number=30, repeat=5)) / 30
     assert linear / hier >= 10
     return "exact-match rate %.3f, speedup %.0fx" % (exact_rate, linear / hier)
 

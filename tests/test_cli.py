@@ -224,3 +224,51 @@ def test_plot_deterministic(runner, small_map, tmp_path):
 def test_usage_error_exits_2(runner):
     result = runner.invoke(cli.main, ["cov"])
     assert result.exit_code == 2
+
+
+def corrupt_last_cell(path, row):
+    """Replace the last cell of data row ``row`` with ``0.5x``."""
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[row + 1].split(b",")
+    lines[row + 1] = b",".join(cells[:-1] + [b"0.5x"])
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def test_malformed_frame_csv_cell_exits_2(runner, small_map, tmp_path):
+    frame_csv = tmp_path / "s.csv"
+    invoke(runner, ["sample", str(small_map), "--size", "50",
+                    "-o", str(frame_csv)])
+    corrupt_last_cell(frame_csv, 7)
+    result = runner.invoke(cli.main, ["variogram", str(frame_csv),
+                                      "-o", str(tmp_path / "v.csv")])
+    assert result.exit_code == 2
+    assert "s.csv" in result.output and "0.5x" in result.output
+
+
+def test_malformed_curve_csv_cell_exits_2(runner, small_map, tmp_path):
+    curve_csv = tmp_path / "v.csv"
+    invoke(runner, ["variogram", str(small_map), "--max-dist", "1.0",
+                    "--bins", "8", "-o", str(curve_csv)])
+    corrupt_last_cell(curve_csv, 3)
+    result = runner.invoke(cli.main, ["fit", str(curve_csv)])
+    assert result.exit_code == 2
+    assert "v.csv" in result.output and "0.5x" in result.output
+
+
+def test_malformed_spectrum_csv_cell_exits_2(runner, tmp_path):
+    spec = tmp_path / "spec.csv"
+    spec.write_text("l,C_l\n0,1.0\n1,0.5x\n")
+    result = runner.invoke(cli.main, ["covps", str(spec), "--lmax", "1",
+                                      "-o", str(tmp_path / "cov.csv")])
+    assert result.exit_code == 2
+    assert "spec.csv" in result.output and "0.5x" in result.output
+
+
+def test_map_rows_disagreeing_with_nside_exit_2(runner, tmp_path):
+    path = tmp_path / "short.fits"
+    fits.write_map(path, {"I": np.zeros(100, np.float32)}, nside=4,
+                   ordering="nested")
+    result = runner.invoke(cli.main, ["sample", str(path), "--size", "10",
+                                      "-o", str(tmp_path / "s.csv")])
+    assert result.exit_code == 2
+    assert "100 rows" in result.output

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import skypix as sp
 from skypix import frame
-from skypix.errors import DomainError
+from skypix.errors import DomainError, FormatError
 from skypix.geostat import (EmpiricalCurve, empirical_covariance,
                             empirical_variogram)
 
@@ -197,6 +197,26 @@ def test_coincident_rows_do_not_count_towards_budget():
     assert_array_equal(budgeted.counts, exact.counts)
 
 
+def test_coincident_rows_sit_at_lag_zero_in_any_direction():
+    # two clusters of 30 coincident rows in random directions: a unit
+    # vector's self dot product often rounds below 1, yet only the 900
+    # cross-cluster pairs may land in a bin, on both pair paths
+    rng = np.random.default_rng(185)
+    for _ in range(20):
+        theta = np.repeat(rng.uniform(0.1, math.pi - 0.1, 2), 30)
+        phi = np.repeat(rng.uniform(0, 2 * math.pi, 2), 30)
+        pix = sp.ang2pix(4, theta, phi, sp.NESTED)
+        f = frame.SkyFrame(pix, sp.NESTED, 4, {"I": rng.normal(size=60)},
+                           mode=frame.HP, coords=(theta, phi))
+        cross = pair_lag(f, 0, 30)
+        bin_cross = math.ceil(cross / (math.pi / 60)) - 1
+        exact = empirical_variogram(f, "I", math.pi, 60)
+        assert np.flatnonzero(exact.counts).tolist() == [bin_cross]
+        assert exact.counts.sum() == 900
+        sampled = empirical_variogram(f, "I", math.pi, 60, pair_budget=100)
+        assert np.flatnonzero(sampled.counts).tolist() == [bin_cross]
+
+
 def test_empty_bins_flagged():
     # two tight clusters: middle bins hold no pairs
     f = frame.SkyFrame([1, 2, 190, 191], "nested", 4,
@@ -228,6 +248,17 @@ def test_curve_csv_round_trip(tmp_path, random_frame):
     ok = ~np.isnan(cov.values)
     assert_allclose(back.values[ok], cov.values[ok])
     assert_array_equal(back.counts, cov.counts)
+
+
+def test_curve_csv_rejects_bad_header_cells_and_no_rows(tmp_path):
+    path = tmp_path / "curve.csv"
+    for text, match in [("lag,value\n0.1,1.0\n", "header"),
+                        ("lag,value,count\n0.1,1.0,2x\n", "curve.csv"),
+                        ("lag,value,count\n0.1,1.0\n", "curve.csv"),
+                        ("lag,value,count\n", "no rows")]:
+        path.write_text(text)
+        with pytest.raises(FormatError, match=match):
+            EmpiricalCurve.read_csv(path)
 
 
 def test_curve_validation():

@@ -1,13 +1,19 @@
+import csv
+import io
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import skypix as sp
-from skypix import fits, frame, geom
-from skypix.errors import (AddressingError, DomainError, SchemaError,
-                           UniquenessError)
+from skypix import csvio, fits, frame, geom
+from skypix.errors import (AddressingError, DomainError, FormatError,
+                           SchemaError, UniquenessError)
 
 
 @pytest.fixture
@@ -36,6 +42,17 @@ def test_frame_sample_reproducible(map_source):
     f2 = frame.frame_from_map(map_source, sample_size=4, seed=7)
     assert_array_equal(f1.pix, f2.pix)
     assert len(np.unique(f1.pix)) == 4
+
+
+def test_frame_from_map_rejects_rows_disagreeing_with_nside(tmp_path):
+    # NSIDE=4 needs 192 rows; keying 100 rows as pixels would be silent
+    path = tmp_path / "short.fits"
+    fits.write_map(path, {"I": np.zeros(100, np.float32)}, nside=4,
+                   ordering="nested")
+    src = fits.open_map(path)
+    for kwargs in ({}, {"rows": [1, 2]}, {"sample_size": 5}):
+        with pytest.raises(FormatError, match="100 rows"):
+            frame.frame_from_map(src, **kwargs)
 
 
 def test_cmb_coordinates_derive_from_centers(map_source):
@@ -302,3 +319,93 @@ def test_hp_csv_round_trip_keeps_coords(tmp_path):
     assert back.mode == frame.HP
     t, _ = back.angles()
     assert_allclose(t, theta)
+
+
+def golden_frame():
+    """Five hp rows covering signed zeros, NaN, infinities, a subnormal,
+    int and bool columns, a quoted column name and the largest keys."""
+    return frame.SkyFrame(
+        [1, 1, 5, 12 * 4**29 - 1, 12 * 4**29], "nested", 2**29,
+        {"a": [-0.0, math.nan, math.inf, -math.inf, 1e-300],
+         "n": np.array([-3, 0, 7, 2**53 + 1, 10**17]),
+         "b": np.array([True, False, True, True, False]),
+         "x,y": [0.1, 1 / 3, 2.5, 1e16, 123456789.125]},
+        mode=frame.HP,
+        coords=(np.array([0.0, 0.1, math.pi / 3, math.pi, 5e-324]),
+                np.array([-0.0, 0.0, 2 * math.pi, 1.5, 2.0])))
+
+
+def test_csv_bytes_are_pinned(tmp_path):
+    path = tmp_path / "golden.csv"
+    frame.write_csv(golden_frame(), path)
+    assert path.read_bytes() == (
+        b'pix,theta,phi,a,n,b,"x,y"\r\n'
+        b"1,0.0,-0.0,-0.0,-3.0,1.0,0.1\r\n"
+        b"1,0.1,0.0,nan,0.0,0.0,0.3333333333333333\r\n"
+        b"5,1.0471975511965976,6.283185307179586,inf,7.0,1.0,2.5\r\n"
+        b"3458764513820540927,3.141592653589793,1.5,-inf,"
+        b"9007199254740992.0,1.0,1e+16\r\n"
+        b"3458764513820540928,5e-324,2.0,1e-300,1e+17,0.0,123456789.125\r\n")
+    back = frame.read_csv(path)
+    assert back.column_names == ["a", "n", "b", "x,y"]
+    assert back.pix.tolist() == golden_frame().pix.tolist()
+
+
+def row_by_row_csv(f):
+    """The format written one row at a time through ``csv.writer``."""
+    theta, phi = (np.atleast_1d(x) for x in f.angles())
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["pix", "theta", "phi"] + f.column_names)
+    for i in range(len(f)):
+        row = [int(f.pix[i]), repr(float(theta[i])), repr(float(phi[i]))]
+        row += [repr(float(f.columns[n][i])) for n in f.column_names]
+        writer.writerow(row)
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("rows", [0, 1, csvio.CHUNK + 1])
+def test_csv_rows_around_chunk_boundaries(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    f = frame.full_frame(128, "ring",
+                         {"I": rng.standard_normal(12 * 128**2)})
+    f = f.take(np.arange(rows))
+    path = tmp_path / "f.csv"
+    frame.write_csv(f, path)
+    assert path.read_bytes() == row_by_row_csv(f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no "input contained no data"
+        back = frame.read_csv(path)
+    assert len(back) == rows and back.pix.dtype == np.int64
+    assert_array_equal(back.pix, f.pix)
+    assert_array_equal(back.columns["I"], f.columns["I"])
+
+
+# signed zeros, subnormals, infinities, NaN and any other bit pattern
+float64s = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 12 * 4**29), float64s, float64s,
+                          float64s), max_size=40))
+def test_csv_round_trip_is_bitwise(rows):
+    pix = np.array([r[0] for r in rows], dtype=np.int64)
+    theta, phi, value = np.array([r[1:] for r in rows]).reshape(-1, 3).T
+    f = frame.SkyFrame(pix, "nested", 2**29, {"v": value}, mode=frame.HP,
+                       coords=(theta, phi))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        frame.write_csv(f, path)
+        back = frame.read_csv(path)
+    assert back.pix.tolist() == pix.tolist()
+    for got, want in zip((*back.angles(), back.columns["v"]),
+                         (theta, phi, value)):
+        nan = np.isnan(want)
+        assert_array_equal(np.isnan(got), nan)
+        assert_array_equal(got[~nan].view(np.uint64),
+                           want[~nan].view(np.uint64))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import skypix as sp
@@ -349,3 +350,21 @@ def test_ang2pix_maps_centers_to_themselves(nside, scheme):
 def test_ang2pix_rejects_nonfinite():
     with pytest.raises(DomainError):
         sp.ang2pix(4, float("nan"), 0.0)
+    with pytest.raises(DomainError):
+        sp.ang2pix(4, 1.0, np.float64("inf"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 29), st.sampled_from([sp.RING, sp.NESTED]),
+       st.floats(0.0, math.pi), st.floats(-20.0, 20.0))
+def test_ang2pix_scalar_matches_array(level, scheme, theta, phi):
+    # one direction takes the scalar route; the array route is the oracle
+    nside = 1 << level
+    got = sp.ang2pix(nside, theta, phi, scheme)
+    assert type(got) is int
+    assert got == sp.ang2pix(nside, [theta], [phi], scheme)[0]
+    xyz = np.array([math.sin(theta) * math.cos(phi),
+                    math.sin(theta) * math.sin(phi), math.cos(theta)])
+    xyz /= np.linalg.norm(xyz)
+    if scheme == sp.NESTED:
+        assert sp.nest_search(nside, xyz) == sp.nest_search(nside, xyz[None])[0]

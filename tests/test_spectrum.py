@@ -114,3 +114,18 @@ def test_spectrum_csv_rejects_bad_header(tmp_path):
     path.write_text("l,P_l\n0,1.0\n")
     with pytest.raises(FormatError):
         read_spectrum_csv(path)
+
+
+def test_spectrum_csv_skips_blank_lines_and_rejects_bad_numbers(tmp_path):
+    path = tmp_path / "spec.csv"
+    path.write_text("l,C_l\n2,1.5\n\n3,0.25\n\n")
+    back = read_spectrum_csv(path)
+    assert back.ell.tolist() == [2, 3]
+    assert back.values.tolist() == [1.5, 0.25]
+    for body in ("2.0,1.5\n", "2,1.5x\n", "2\n"):
+        path.write_text("l,C_l\n" + body)
+        with pytest.raises(FormatError, match="spec.csv"):
+            read_spectrum_csv(path)
+    path.write_text("l,C_l\n")
+    with pytest.raises(FormatError, match="empty"):
+        read_spectrum_csv(path)
