@@ -14,9 +14,9 @@ from .healpix import (
     neighbours, neighbours_index, nest_search, pixel_boundary,
 )
 from .geom import (
-    SphericalPoint, UnitVector, Window, WindowSet, disc, polygon,
+    SphericalPoint, Window, WindowSet, disc, polygon,
     convert_coords, hms_to_degrees, geodesic_distance, extremal_distance,
-    spherical_triangle_area, triangulate, window_area,
+    spherical_triangle_area, triangulate,
 )
 from .fits import MapSource, FitsHeader, open_map, write_map
 from .frame import (

@@ -16,10 +16,11 @@ import numpy as np
 from . import download as dl
 from . import fits as fitsio
 from . import frame as skyframe
-from . import geom, geostat, healpix, plotsvg
+from . import csvio, geom, geostat, healpix, plotsvg
 from .errors import (FormatError, NetworkError, SchemaError, SkypixError)
 
 PARSE_ERRORS = (FormatError, SchemaError)
+ANGDIST_HEADER = ["axis", "center", "mean", "count"]
 
 
 def _fail(stage, exc, code):
@@ -64,6 +65,15 @@ def _load_frame(path, sample=None, seed=0, columns=None):
     if sample is not None:
         f = skyframe.sample_frame(f, sample, seed)
     return f
+
+
+def _read_table(path, header, keys=()):
+    """Columns of a table CSV whose header must be exactly ``header``."""
+    def check_header(got):
+        if got != header:
+            raise FormatError("%s must have header %s"
+                              % (path, ",".join(header)))
+    return csvio.read_table(path, check_header, keys, FormatError)[1]
 
 
 def _load_windows(paths):
@@ -231,10 +241,8 @@ def covps(spectrum_path, lmax, points, out):
         ps = geostat.read_spectrum_csv(spectrum_path)
         grid = np.cos(np.linspace(0.0, math.pi, points))
         cov = geostat.cov_from_power_spectrum(ps, lmax, grid)
-        with open(out, "w") as fh:
-            fh.write("cos_theta,value\n")
-            for x, v in zip(cov.cos_theta, cov.values):
-                fh.write("%r,%r\n" % (float(x), float(v)))
+        csvio.write_table(out, ["cos_theta", "value"], [],
+                          [cov.cos_theta, cov.values])
         return {"lmax": cov.lmax, "diagnostics": cov.diagnostics}
     _json_out(_guarded("covps", run), None)
 
@@ -285,10 +293,7 @@ def renyi(input_path, column, qmin, qmax, points, box_level, out):
     def run():
         f = _load_frame(input_path, columns=[column])
         q, t = geostat.renyi_function(f, column, qmin, qmax, points, box_level)
-        with open(out, "w") as fh:
-            fh.write("q,T\n")
-            for qi, ti in zip(q, t):
-                fh.write("%r,%r\n" % (float(qi), float(ti)))
+        csvio.write_table(out, ["q", "T"], [], [q, t])
         return {"points": len(q)}
     _guarded("renyi", run)
 
@@ -322,10 +327,7 @@ def qq(input_path, column, window_a, window_b, quantiles, out):
         f = _load_frame(input_path, columns=[column])
         wa, wb = _load_windows([window_a, window_b])
         qa, qb = geostat.qq_pairs(f, column, wa, wb, quantiles)
-        with open(out, "w") as fh:
-            fh.write("quantile_a,quantile_b\n")
-            for a, b in zip(qa, qb):
-                fh.write("%r,%r\n" % (float(a), float(b)))
+        csvio.write_table(out, ["quantile_a", "quantile_b"], [], [qa, qb])
         return {"pairs": len(qa)}
     _guarded("qq", run)
 
@@ -342,14 +344,10 @@ def angdist(input_path, column, theta_bins, phi_bins, out):
     def run():
         f = _load_frame(input_path, columns=[column])
         marg = geostat.angular_marginals(f, column, theta_bins, phi_bins)
-        with open(out, "w") as fh:
-            fh.write("axis,center,mean,count\n")
-            for axis in ("theta", "phi"):
-                table = marg[axis]
-                for c, m, k in zip(table["centers"], table["mean"],
-                                   table["count"]):
-                    fh.write("%s,%r,%r,%r\n" % (axis, float(c), float(m),
-                                                float(k)))
+        axis = np.repeat(["theta", "phi"], [theta_bins, phi_bins])
+        csvio.write_table(out, ANGDIST_HEADER, [axis],
+                          [np.concatenate([marg["theta"][k], marg["phi"][k]])
+                           for k in ("centers", "mean", "count")])
         return {"rows": theta_bins + phi_bins}
     _guarded("angdist", run)
 
@@ -387,19 +385,14 @@ def plot(kind, input_path, fit_json, column, sample, seed, out):
             svg = plotsvg.line_chart(series, xlabel="geodesic lag",
                                      ylabel="value", title=kind)
         elif kind == "renyi":
-            rows = [line.split(",") for line
-                    in open(input_path).read().splitlines()[1:] if line]
-            q = np.array([float(r[0]) for r in rows])
-            t = np.array([float(r[1]) for r in rows])
+            q, t = _read_table(input_path, ["q", "T"])
             svg = plotsvg.line_chart([(q, t, "points")], xlabel="q",
                                      ylabel="T(q)", title="sample Renyi function")
         elif kind == "angdist":
-            rows = [line.split(",") for line
-                    in open(input_path).read().splitlines()[1:] if line]
-            theta = [(float(r[1]), float(r[2])) for r in rows if r[0] == "theta"
-                     and r[2] != "nan"]
-            svg = plotsvg.bar_chart([c for c, _ in theta],
-                                    [m for _, m in theta],
+            axis, center, mean, _ = _read_table(input_path, ANGDIST_HEADER,
+                                                (object,))
+            theta = axis == "theta"   # bar_chart drops the NaN means
+            svg = plotsvg.bar_chart(center[theta], mean[theta],
                                     xlabel="colatitude", ylabel="mean",
                                     title="angular marginal")
         else:

@@ -1,11 +1,12 @@
-"""Column-wise CSV tables: the one writer and reader behind the frame,
-curve and spectrum files.
+"""Column-wise CSV tables: the one writer and reader behind every skypix
+CSV file (frames, curves, spectra and the CLI's result tables).
 
 A table is a header row followed by rows ending in CRLF, as ``csv.writer``
-writes them.  The leading key columns are integers written with ``str``;
-every other column is float64 written as the shortest ``repr``, so values
-round-trip bit for bit.  Keys are parsed as int64 and never pass through
-float64, which holds them exactly up to ``12 * 4**29``.
+writes them.  The leading key columns (pixel indices, multipoles, or a
+label such as an axis name) are written with ``str``; every other column
+is float64 written as the shortest ``repr``, so values round-trip bit for
+bit.  Integer keys are parsed as int64 and never pass through float64,
+which holds them exactly up to ``12 * 4**29``.
 """
 
 import csv
@@ -28,8 +29,9 @@ def _float_text(col):
 
 
 def write_table(path, header, keys, values):
-    """Write ``header``, then one row per index: the integer ``keys``
-    arrays first, then the ``values`` columns as float64."""
+    """Write ``header``, then one row per index: the ``keys`` arrays first,
+    each element through ``str`` (integers or strings without commas), then
+    the ``values`` columns as float64."""
     n = len(keys[0] if keys else values[0])
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
@@ -42,15 +44,17 @@ def write_table(path, header, keys, values):
 def read_table(path, check_header, keys, error):
     """Header and columns of a table written by :func:`write_table`.
 
-    ``check_header`` vets the header row before the body is parsed; the
-    first ``keys`` columns come back as int64, the rest as float64.  Empty
-    lines are skipped, and a malformed cell raises ``error`` naming the
-    file.
+    ``check_header`` vets the header row before the body is parsed.
+    ``keys`` holds the dtypes of the leading key columns: ``(np.int64,)``
+    for pixel or multipole keys, ``(object,)`` for a text label (each cell
+    a ``str``), ``()`` for none.  The remaining columns come back as
+    float64.  Empty lines are skipped, and a malformed cell or a row of the
+    wrong length raises ``error`` naming the file.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
         check_header(header)
-        dtype = np.dtype([("f%d" % i, np.int64 if i < keys else np.float64)
+        dtype = np.dtype([("f%d" % i, keys[i] if i < len(keys) else np.float64)
                           for i in range(len(header))])
         with warnings.catch_warnings():
             # a header without rows is an empty table, not a warning

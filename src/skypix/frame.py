@@ -152,8 +152,7 @@ def assign_pixels(theta, phi, columns, nside, require_unique=False):
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
-    xyz = sph2cart(theta, phi)
-    pix = np.atleast_1d(healpix.nest_search(nside, xyz))
+    pix = healpix.ang2pix(nside, theta, phi, healpix.NESTED)
     unique, counts = np.unique(pix, return_counts=True)
     if len(unique) == len(pix):
         return SkyFrame(pix, healpix.NESTED, nside, columns, CMB)
@@ -175,16 +174,10 @@ def extract_window(frame, region):
     if not isinstance(region, WindowSet):
         region = WindowSet((region,))
     keep = np.zeros(len(frame), dtype=bool)
-    if frame.coords is not None:
-        xyz_all = sph2cart(*frame.coords)
-        for lo in range(0, len(frame), _CHUNK):
-            hi = min(lo + _CHUNK, len(frame))
-            keep[lo:hi] = region.contains(xyz_all[lo:hi])
-    else:
-        for lo in range(0, len(frame), _CHUNK):
-            hi = min(lo + _CHUNK, len(frame))
-            xyz = healpix.pix2vec(frame.nside, frame.pix[lo:hi], frame.scheme)
-            keep[lo:hi] = region.contains(xyz)
+    for lo in range(0, len(frame), _CHUNK):
+        # a slice takes views, so only this chunk's vectors are built
+        part = frame.take(slice(lo, lo + _CHUNK))
+        keep[lo:lo + len(part)] = region.contains(part.positions())
     out = frame.take(keep)
     out.windows = list(frame.windows) + [region]
     return out
@@ -311,8 +304,8 @@ def read_csv(path):
         if header[:3] != ["pix", "theta", "phi"]:
             raise SchemaError("frame CSV must start with pix,theta,phi")
 
-    header, (pix, theta, phi, *data) = read_table(path, check_header, 1,
-                                                  SchemaError)
+    header, (pix, theta, phi, *data) = read_table(
+        path, check_header, (np.int64,), SchemaError)
     cols = dict(zip(header[3:], data))
     mode = meta.get("mode", CMB)
     coords = (theta, phi) if mode == HP else None

@@ -40,33 +40,6 @@ class SphericalPoint:
                          math.cos(self.theta)])
 
 
-@dataclass(frozen=True)
-class UnitVector:
-    """Point on the unit sphere; the norm must be 1 within 1e-12."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        norm = math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
-        if abs(norm - 1.0) > 1e-12:
-            raise DomainError("vector is not normalized")
-
-    def to_array(self):
-        return np.array([self.x, self.y, self.z])
-
-    @property
-    def theta(self):
-        return math.acos(min(1.0, max(-1.0, self.z)))
-
-    @property
-    def phi(self):
-        if abs(self.z) == 1.0:
-            return 0.0
-        return math.atan2(self.y, self.x) % (2 * math.pi)
-
-
 def cart2sph(xyz):
     """Unit vectors ``(..., 3)`` -> ``(theta, phi)``; phi canonical in [0, 2pi)."""
     xyz = np.asarray(xyz, dtype=np.float64)
@@ -342,11 +315,6 @@ class WindowSet:
         if isinstance(spec, dict):
             spec = [spec]
         return cls(tuple(Window.from_dict(d) for d in spec))
-
-
-def window_area(w):
-    """Analytic area of a single window, in steradians."""
-    return w.area()
 
 
 # ---------------------------------------------------------------------------

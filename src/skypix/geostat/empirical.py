@@ -70,13 +70,14 @@ class EmpiricalCurve:
             if header != ["lag", "value", "count"]:
                 raise FormatError("curve CSV must have lag,value,count header")
 
-        _, (lags, values, counts) = read_table(path, check_header, 0,
+        _, (lags, values, counts) = read_table(path, check_header, (),
                                                FormatError)
-        if not lags.size:
-            raise FormatError("curve CSV %s has no rows" % path)
-        positive = lags > 0
-        bins = int(positive.sum())
-        return cls(lags, values, counts, float(lags.max()), bins)
+        pos = lags[lags > 0]
+        if not pos.size:
+            raise FormatError("curve CSV %s has no rows at a positive lag" % path)
+        # equal-width bins: the first center sits half a bin above zero and
+        # the last half a bin below max_dist
+        return cls(lags, values, counts, float(pos[-1] + pos[0]), pos.size)
 
 
 def _blocks(tree):

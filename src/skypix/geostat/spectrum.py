@@ -128,7 +128,8 @@ def read_spectrum_csv(path):
             raise FormatError(
                 "spectrum CSV needs header 'l,C_l' or 'l,D_l', got %r" % header)
 
-    header, (ell, values) = read_table(path, check_header, 1, FormatError)
+    header, (ell, values) = read_table(path, check_header, (np.int64,),
+                                     FormatError)
     if not ell.size:
         raise FormatError("empty spectrum file")
     return PowerSpectrum(ell, values, header[1])

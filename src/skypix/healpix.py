@@ -345,7 +345,8 @@ def _zphi_quadrants(theta, phi):
 
 
 def ang2pix(nside, theta, phi, scheme=RING):
-    """1-based index of the pixel containing direction ``(theta, phi)``."""
+    """1-based index of the pixel containing direction ``(theta, phi)``:
+    ``theta`` in ``[0, pi]``, any finite ``phi``; arrays broadcast."""
     nside = _check_nside(nside)
     _check_scheme(scheme)
     if np.ndim(theta) == 0 and np.ndim(phi) == 0:
@@ -354,6 +355,8 @@ def ang2pix(nside, theta, phi, scheme=RING):
         theta, phi = np.float64(theta), np.float64(phi)
         if not (np.isfinite(theta) and np.isfinite(phi)):
             raise DomainError("non-finite direction")
+        if not 0.0 <= theta <= np.pi:
+            raise DomainError("theta must be in [0, pi]")
         z, tt, rtz = _zphi_quadrants(theta, phi)
         if abs(z) > 2.0 / 3.0:
             return int(_polar_zone_pix(nside, tt, z, rtz, scheme)) + 1
@@ -362,6 +365,8 @@ def ang2pix(nside, theta, phi, scheme=RING):
     phi_a = np.atleast_1d(np.asarray(phi, dtype=np.float64))
     if not (np.all(np.isfinite(theta_a)) and np.all(np.isfinite(phi_a))):
         raise DomainError("non-finite direction")
+    if np.any(theta_a < 0.0) or np.any(theta_a > np.pi):
+        raise DomainError("theta must be in [0, pi]")
     theta_a, phi_a = np.broadcast_arrays(theta_a, phi_a)
     z, tt, rtz = _zphi_quadrants(theta_a, phi_a)
     polar = np.abs(z) > 2.0 / 3.0
@@ -554,43 +559,32 @@ def neighbours(pixel):
 
 
 # ---------------------------------------------------------------------------
-# hierarchical nearest-center search
+# containing pixel of unit vectors
 
 def nest_search(nside, target, count_visits=False):
-    """Nested pixel closest to ``target``, found by hierarchical descent.
+    """Nested pixel holding the unit vector ``target``.
 
-    The search walks the nested hierarchy: the base face holding the target
-    first (12 candidate centers), then at each finer level only the four
-    children of the current pixel (4 candidates each), for exactly
-    ``12 + 4*log2(nside)`` candidates instead of ``12*nside**2``.  Children
-    tile their parent exactly, so the walk ends at the pixel containing the
-    target; its center is within one pixel diameter of the true nearest
-    center (the two coincide away from cell fringes, and always when the
-    target is itself a pixel center).  Cell membership is half-open, so the
-    result is deterministic; a target equidistant from two centers resolves
-    to the cell that contains it.
+    The answer is the containing pixel, computed in constant time per
+    target: :func:`vec2pix` takes the direction's ``(z, phi)`` and the zone
+    arithmetic of :func:`ang2pix` locates the face and the position within
+    it, with no search over candidate centers.  That pixel's center is
+    within one pixel diameter of the nearest center (the two coincide away
+    from cell fringes, and always when the target is itself a pixel
+    center).  Cell membership is half-open, so a target equidistant from
+    two centers resolves to the cell that contains it.
 
-    ``target`` may be a single vector or an ``(n, 3)`` array.  Returns the
-    1-based index (or array), plus the candidate-visit count when
-    ``count_visits``.
+    ``target`` may be a single vector or an ``(n, 3)`` array; each must
+    have unit norm within 1e-9.  Returns the 1-based index (or array), plus
+    with ``count_visits`` the candidate count a descent of the nested
+    hierarchy would inspect, ``12 + 4*log2(nside)``; it is derived from
+    ``nside``, not counted.
     """
     nside = _check_nside(nside)
     xyz = np.asarray(target, dtype=np.float64)
-    single = xyz.ndim == 1
-    xyz = np.atleast_2d(xyz)
-    norms = np.sqrt((xyz ** 2).sum(axis=1))
+    norms = np.sqrt((xyz ** 2).sum(axis=-1))
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise DomainError("target vectors must be normalized")
-
-    theta = np.arccos(np.clip(xyz[:, 2], -1.0, 1.0))
-    phi = np.arctan2(xyz[:, 1], xyz[:, 0]) % (2 * np.pi)
-    if single:
-        result = ang2pix(nside, theta[0], phi[0], NESTED)
-    else:
-        result = ang2pix(nside, theta, phi, NESTED)
-    # candidate accounting for the hierarchical scheme: 12 base cells, then
-    # the 4 children of the current cell per level (the planar arithmetic
-    # collapses each level's inspection to constant work)
+    result = vec2pix(nside, xyz, NESTED)
     visits = 12 + 4 * (nside.bit_length() - 1)
     if count_visits:
         return result, visits

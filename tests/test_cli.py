@@ -272,3 +272,93 @@ def test_map_rows_disagreeing_with_nside_exit_2(runner, tmp_path):
                                       "-o", str(tmp_path / "s.csv")])
     assert result.exit_code == 2
     assert "100 rows" in result.output
+
+
+@pytest.fixture
+def index_map(tmp_path):
+    """NSIDE-2 nested map whose value is the row number, 1..48."""
+    path = tmp_path / "idx.fits"
+    fits.write_map(path, {"I": np.arange(1, 49, dtype=np.float32)}, nside=2,
+                   ordering="nested")
+    return path
+
+
+def test_cli_tables_bytes_are_pinned(runner, index_map, tmp_path):
+    # CRLF rows and repr cells, as in every other skypix CSV
+    spec = tmp_path / "spec.csv"
+    spec.write_text("l,C_l\n0,%r\n1,0.5\n" % (4 * math.pi))
+    north = tmp_path / "north.json"
+    south = tmp_path / "south.json"
+    north.write_text(json.dumps(geom.disc(0, 0, math.pi / 2 - 1e-9).to_dict()))
+    south.write_text(json.dumps(
+        geom.disc(math.pi, 0, math.pi / 2 - 1e-9).to_dict()))
+    runs = {
+        "covps": ["covps", str(spec), "--lmax", "1", "--points", "3"],
+        "renyi": ["renyi", str(index_map), "--points", "3",
+                  "--box-level", "1"],
+        "qq": ["qq", str(index_map), "--window-a", str(north),
+               "--window-b", str(south), "--quantiles", "3"],
+        "angdist": ["angdist", str(index_map), "--theta-bins", "8",
+                    "--phi-bins", "2"],
+    }
+    got = {}
+    for name, args in runs.items():
+        out = tmp_path / (name + ".csv")
+        assert invoke(runner, args + ["-o", str(out)]).exit_code == 0
+        got[name] = out.read_bytes()
+    assert got["covps"] == (
+        b"cos_theta,value\r\n"
+        b"1.0,1.1193662073189214\r\n"
+        b"6.123233995736766e-17,1.0\r\n"
+        b"-1.0,0.8806337926810786\r\n")
+    assert got["renyi"] == (
+        b"q,T\r\n"
+        b"1.01,5.288770681981655\r\n"
+        b"5.505,4.9475744087604285\r\n"
+        b"10.0,4.843273820246594\r\n")
+    assert got["qq"] == (
+        b"quantile_a,quantile_b\r\n"
+        b"1.0,17.0\r\n"
+        b"10.5,38.5\r\n"
+        b"32.0,48.0\r\n")
+    assert got["angdist"] == (      # empty colatitude bins: NaN mean
+        b"axis,center,mean,count\r\n"
+        b"theta,0.19634954084936207,nan,0.0\r\n"
+        b"theta,0.5890486225480862,10.0,4.0\r\n"
+        b"theta,0.9817477042468103,8.5,8.0\r\n"
+        b"theta,1.3744467859455345,16.5,8.0\r\n"
+        b"theta,1.7671458676442586,28.5,16.0\r\n"
+        b"theta,2.1598449493429825,40.5,8.0\r\n"
+        b"theta,2.552544031041707,39.0,4.0\r\n"
+        b"theta,2.945243112740431,nan,0.0\r\n"
+        b"phi,1.5707963267948966,20.833333333333332,24.0\r\n"
+        b"phi,4.71238898038469,28.166666666666668,24.0\r\n")
+
+
+@pytest.mark.parametrize("kind, text, bad", [
+    ("renyi", "q,T\n1.01,5.2\n5.5,0.5x\n", "0.5x"),
+    ("renyi", "q,T,extra\n1.01,5.2,1.0\n", "q,T"),
+    ("angdist", "axis,center,mean,count\ntheta,0.2,1.0,3.0\ntheta,0.6\n",
+     "columns"),
+], ids=["renyi-bad-cell", "renyi-bad-header", "angdist-short-row"])
+def test_plot_malformed_table_exits_2(runner, tmp_path, kind, text, bad):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    result = runner.invoke(cli.main, ["plot", kind, str(path),
+                                      "-o", str(tmp_path / "out.svg")])
+    assert result.exit_code == 2
+    assert "table.csv" in result.output and bad in result.output
+
+
+def test_plot_draws_written_tables(runner, index_map, tmp_path):
+    # 20 Renyi points; 6 of the 8 colatitude bins hold pixels, and the
+    # chart adds 2 rects of its own to one per bar
+    for kind, args, marker, count in [
+            ("renyi", ["--box-level", "1"], "<circle", 20),
+            ("angdist", ["--theta-bins", "8"], "<rect", 2 + 6)]:
+        table = tmp_path / (kind + ".csv")
+        invoke(runner, [kind, str(index_map), "-o", str(table)] + args)
+        svg = tmp_path / (kind + ".svg")
+        result = invoke(runner, ["plot", kind, str(table), "-o", str(svg)])
+        assert result.exit_code == 0
+        assert svg.read_text().count(marker) == count

@@ -239,15 +239,20 @@ def test_argument_validation(random_frame):
 
 
 def test_curve_csv_round_trip(tmp_path, random_frame):
-    cov = empirical_covariance(random_frame, "I", 1.0, 6)
     path = tmp_path / "curve.csv"
-    cov.write_csv(path)
-    back = EmpiricalCurve.read_csv(path)
-    assert_allclose(back.lags, cov.lags)
-    assert np.array_equal(np.isnan(back.values), np.isnan(cov.values))
-    ok = ~np.isnan(cov.values)
-    assert_allclose(back.values[ok], cov.values[ok])
-    assert_array_equal(back.counts, cov.counts)
+    for estimator in (empirical_covariance, empirical_variogram):
+        for max_dist, bins in [(1.0, 12), (0.3, 6), (math.pi, 30)]:
+            cov = estimator(random_frame, "I", max_dist, bins)
+            cov.write_csv(path)
+            back = EmpiricalCurve.read_csv(path)
+            assert_allclose(back.lags, cov.lags)
+            assert np.array_equal(np.isnan(back.values), np.isnan(cov.values))
+            ok = ~np.isnan(cov.values)
+            assert_allclose(back.values[ok], cov.values[ok])
+            assert_array_equal(back.counts, cov.counts)
+            # the file holds bin centers; max_dist comes back from them
+            assert abs(back.max_dist - max_dist) <= 1e-12
+            assert back.bins == bins
 
 
 def test_curve_csv_rejects_bad_header_cells_and_no_rows(tmp_path):

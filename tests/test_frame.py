@@ -121,6 +121,21 @@ def test_assign_many_points_keeps_row_count():
     assert len(f) == n
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 29),
+       st.lists(st.tuples(st.floats(0.0, math.pi), st.floats(-20.0, 20.0)),
+                min_size=1, max_size=30),
+       st.floats(-10.0, 10.0).filter(lambda t: not 0.0 <= t <= math.pi))
+def test_assign_keys_are_nested_ang2pix(level, points, outside):
+    nside = 1 << level
+    theta, phi = np.array(points).T
+    f = frame.assign_pixels(theta, phi, {}, nside)
+    assert_array_equal(f.pix, sp.ang2pix(nside, theta, phi, sp.NESTED))
+    with pytest.raises(DomainError, match="theta"):
+        frame.assign_pixels(np.append(theta, outside), np.append(phi, 0.0),
+                            {}, nside)
+
+
 # ---------------------------------------------------------------------------
 # windows
 
@@ -409,3 +424,17 @@ def test_csv_round_trip_is_bitwise(rows):
         assert_array_equal(np.isnan(got), nan)
         assert_array_equal(got[~nan].view(np.uint64),
                            want[~nan].view(np.uint64))
+
+
+def test_string_key_table_round_trip(tmp_path):
+    path = tmp_path / "t.csv"
+    axis = np.array(["theta", "theta", "phi", "longer_label"])
+    values = np.array([0.5, math.nan, -0.0, 1e-300])
+    csvio.write_table(path, ["axis", "v"], [axis], [values])
+    assert path.read_bytes() == (b"axis,v\r\ntheta,0.5\r\ntheta,nan\r\n"
+                                 b"phi,-0.0\r\nlonger_label,1e-300\r\n")
+    header, (keys, back) = csvio.read_table(path, lambda h: None, (object,),
+                                            FormatError)
+    assert header == ["axis", "v"]
+    assert keys.tolist() == axis.tolist()
+    assert_array_equal(back.view(np.uint64), values.view(np.uint64))

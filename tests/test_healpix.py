@@ -354,6 +354,15 @@ def test_ang2pix_rejects_nonfinite():
         sp.ang2pix(4, 1.0, np.float64("inf"))
 
 
+@pytest.mark.parametrize("theta", [4.0, -1e-12, math.pi + 1e-12])
+def test_ang2pix_rejects_theta_outside_0_pi(theta):
+    # on both the scalar and the array path
+    with pytest.raises(DomainError, match="theta"):
+        sp.ang2pix(4, theta, 0.0, sp.NESTED)
+    with pytest.raises(DomainError, match="theta"):
+        sp.ang2pix(4, np.array([1.0, theta]), 0.0, sp.NESTED)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 29), st.sampled_from([sp.RING, sp.NESTED]),
        st.floats(0.0, math.pi), st.floats(-20.0, 20.0))
