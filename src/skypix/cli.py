@@ -1,9 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 usage or input-parse failure, 3 network failure,
-4 computation failure (the message names the failing stage).  Every
-subcommand is deterministic given ``--seed``: identical invocations write
-byte-identical CSV/JSON/SVG outputs.
+Exit codes: 0 success, 2 usage or input-parse failure (a missing or
+unreadable input file included), 3 network failure, 4 computation failure
+(the message names the failing stage).  Every subcommand is deterministic
+given ``--seed``: identical invocations write byte-identical CSV/JSON/SVG
+outputs.
 """
 
 import json
@@ -35,6 +36,8 @@ def _guarded(stage, func):
         _fail(stage, exc, 2)
     except NetworkError as exc:
         _fail(stage, exc, 3)
+    except OSError as exc:          # after NetworkError, which is an IOError
+        _fail(stage, exc, 2)
     except (SkypixError, ValueError) as exc:
         _fail(stage, exc, 4)
 
@@ -76,13 +79,37 @@ def _read_table(path, header, keys=()):
     return csvio.read_table(path, check_header, keys, FormatError)[1]
 
 
+def _load_json(path, what):
+    """Parsed JSON of ``path``; malformed text raises ``FormatError``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise FormatError("%s %s is not valid JSON: %s"
+                              % (what, path, exc))
+
+
 def _load_windows(paths):
     regions = []
     for p in paths:
-        with open(p) as fh:
-            spec = json.load(fh)
-        regions.append(geom.WindowSet.from_spec(spec))
+        spec = _load_json(p, "window spec")
+        try:
+            regions.append(geom.WindowSet.from_spec(spec))
+        except FormatError as exc:
+            raise FormatError("%s: %s" % (p, exc))
     return regions
+
+
+def _load_fit_model(path):
+    """The covariance model of a fit JSON that ``skypix fit`` wrote."""
+    d = _load_json(path, "fit JSON")
+    try:
+        return geostat.CovarianceModel(
+            d["family"], d["sigmasq"], d["psi"], d.get("kappa"),
+            d.get("kappa2"), d.get("nugget", 0.0))
+    except (KeyError, TypeError) as exc:
+        raise FormatError("fit JSON %s: missing or ill-typed field (%s: %s)"
+                          % (path, type(exc).__name__, exc))
 
 
 @click.group()
@@ -374,11 +401,7 @@ def plot(kind, input_path, fit_json, column, sample, seed, out):
             if kind == "fit":
                 if not fit_json:
                     raise SchemaError("kind=fit needs --fit-json")
-                with open(fit_json) as fh:
-                    d = json.load(fh)
-                model = geostat.CovarianceModel(
-                    d["family"], d["sigmasq"], d["psi"], d.get("kappa"),
-                    d.get("kappa2"), d.get("nugget", 0.0))
+                model = _load_fit_model(fit_json)
                 lags = np.linspace(0, curve.max_dist, 200)
                 series.append((lags, geostat.variogram_model(lags, model),
                                "dashed"))
@@ -424,11 +447,9 @@ def download_cmd(product, foreground, nside, link, config_path, offline, out):
     def run():
         config = dl.read_config(config_path)
         if product == "map":
-            dl.download_map(foreground, nside, out, config, offline,
-                            progress=lambda n: None)
+            dl.download_map(foreground, nside, out, config, offline)
         else:
-            dl.download_power_spectrum(link, out, config, offline,
-                                       progress=lambda n: None)
+            dl.download_power_spectrum(link, out, config, offline)
         return {"out": out}
     _json_out(_guarded("download", run), None)
 

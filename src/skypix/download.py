@@ -32,9 +32,6 @@ DEFAULT_CONFIG = {
                             "COM_PowerSpect_CMB-TT-full_R3.01.txt"),
 }
 
-CACHE_ENV = "SKYPIX_CACHE"
-
-
 def read_config(path=None):
     """Defaults overlaid with ``key = value`` pairs from ``path``."""
     config = dict(DEFAULT_CONFIG)
@@ -52,10 +49,6 @@ def read_config(path=None):
     return config
 
 
-def cache_dir():
-    return os.environ.get(CACHE_ENV, os.getcwd())
-
-
 def map_url(config, foreground, nside):
     if foreground not in FOREGROUNDS:
         raise DomainError("foreground must be one of %s" % (FOREGROUNDS,))
@@ -71,19 +64,11 @@ def spectrum_url(config, link):
     return config[key]
 
 
-def _stream(url, out_path, progress=None):
+def _stream(url, out_path):
     tmp = out_path + ".part"
     try:
         with urllib.request.urlopen(url) as response, open(tmp, "wb") as fh:
-            total = 0
-            while True:
-                chunk = response.read(1 << 20)
-                if not chunk:
-                    break
-                fh.write(chunk)
-                total += len(chunk)
-                if progress:
-                    progress(total)
+            shutil.copyfileobj(response, fh, 1 << 20)
     except (urllib.error.URLError, OSError) as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -91,14 +76,13 @@ def _stream(url, out_path, progress=None):
     shutil.move(tmp, out_path)
 
 
-def download_map(foreground, nside, out_path, config=None, offline=False,
-                 progress=None):
+def download_map(foreground, nside, out_path, config=None, offline=False):
     """Fetch a released full-sky map and check it opens as a map source."""
     config = config or read_config()
     url = map_url(config, foreground, nside)
     if offline:
         raise NetworkError("offline mode: not fetching %s" % url)
-    _stream(url, out_path, progress)
+    _stream(url, out_path)
     try:
         src = fitsio.open_map(out_path)
     except FormatError as exc:
@@ -129,15 +113,14 @@ def reduce_spectrum_text(text):
     return PowerSpectrum(np.array(ells), np.array(values), D_L)
 
 
-def download_power_spectrum(link, out_path, config=None, offline=False,
-                            progress=None):
+def download_power_spectrum(link, out_path, config=None, offline=False):
     """Fetch a spectrum product and reduce it to the (l, D_l) CSV format."""
     config = config or read_config()
     url = spectrum_url(config, link)
     if offline:
         raise NetworkError("offline mode: not fetching %s" % url)
     raw = out_path + ".raw"
-    _stream(url, raw, progress)
+    _stream(url, raw)
     try:
         with open(raw, "r", errors="replace") as fh:
             ps = reduce_spectrum_text(fh.read())

@@ -55,12 +55,6 @@ class FitsHeader:
     row_count: int = 0
     columns: list = field(default_factory=list)
 
-    def value(self, keyword, default=None):
-        for key, val, _ in self.cards:
-            if key == keyword:
-                return val
-        return default
-
     @property
     def column_names(self):
         return [c.name for c in self.columns]
@@ -314,7 +308,7 @@ def _pad_block(data):
     return data + b"\x00" * pad
 
 
-def write_map(path, table, nside=None, ordering=None, extra_cards=()):
+def write_map(path, table, nside=None, ordering=None):
     """Write named columns as a primary HDU plus one BINTABLE extension.
 
     Column dtypes must be float32/int32/float64/int16; values are stored
@@ -362,8 +356,6 @@ def write_map(path, table, nside=None, ordering=None, extra_cards=()):
     if ordering is not None:
         cards.append(_format_card("ORDERING", ordering.upper(),
                                   "pixel ordering scheme"))
-    for key, value, comment in extra_cards:
-        cards.append(_format_card(key, value, comment))
     cards.append("END".ljust(CARD))
 
     dtype = np.dtype([(name, ">" + np.dtype(arr.dtype).str[1:])

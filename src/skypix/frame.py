@@ -294,11 +294,17 @@ def write_csv(frame, path):
 
 def read_csv(path):
     """Load a frame written by :func:`write_csv` (sidecar required)."""
+    sidecar = _sidecar_path(path)
     try:
-        with open(_sidecar_path(path)) as fh:
+        with open(sidecar) as fh:
             meta = json.load(fh)
+        scheme, nside = meta["ordering"], int(meta["nside"])
+        mode = meta.get("mode", CMB)
     except FileNotFoundError:
-        raise SchemaError("missing metadata sidecar %s" % _sidecar_path(path))
+        raise SchemaError("missing metadata sidecar %s" % sidecar)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SchemaError("malformed metadata sidecar %s (%s: %s)"
+                          % (sidecar, type(exc).__name__, exc))
 
     def check_header(header):
         if header[:3] != ["pix", "theta", "phi"]:
@@ -307,7 +313,5 @@ def read_csv(path):
     header, (pix, theta, phi, *data) = read_table(
         path, check_header, (np.int64,), SchemaError)
     cols = dict(zip(header[3:], data))
-    mode = meta.get("mode", CMB)
     coords = (theta, phi) if mode == HP else None
-    return SkyFrame(pix, meta["ordering"], int(meta["nside"]), cols, mode,
-                    coords=coords)
+    return SkyFrame(pix, scheme, nside, cols, mode, coords=coords)

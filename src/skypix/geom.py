@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeometryError
+from .errors import DomainError, FormatError, GeometryError
 
 CARTESIAN = "cartesian"
 SPHERICAL = "spherical"
@@ -237,17 +237,38 @@ class Window:
 
     @classmethod
     def from_dict(cls, d):
-        kind = d.get("kind")
-        complement = bool(d.get("complement", False))
+        """Build from a parsed spec object; a non-object entry or a missing
+        or ill-typed field raises ``FormatError``."""
+        kind = _spec_field(d, "kind", str)
+        complement = _spec_field(d, "complement", bool, False)
         if kind == "disc":
-            c = d["center"]
-            return cls("disc", complement,
-                       center=SphericalPoint(c["theta"], c["phi"]), r=float(d["r"]))
+            center = _spec_point(_spec_field(d, "center", dict))
+            return cls("disc", complement, center=center,
+                       r=float(_spec_field(d, "r", float)))
         if kind == "polygon":
-            verts = tuple(SphericalPoint(v["theta"], v["phi"]) for v in d["vertices"])
-            return cls("polygon", complement, vertices=verts,
-                       assumed_convex=bool(d.get("assumedConvex", False)))
+            verts = _spec_field(d, "vertices", list)
+            return cls("polygon", complement,
+                       vertices=tuple(_spec_point(v) for v in verts),
+                       assumed_convex=_spec_field(d, "assumedConvex", bool,
+                                                  False))
         raise GeometryError("window spec kind must be 'disc' or 'polygon'")
+
+
+def _spec_field(d, key, kind, default=None):
+    """``d[key]`` of a window spec object, checked to be a ``kind`` (float
+    takes any JSON number); ``default`` when the key is absent."""
+    if not isinstance(d, dict):
+        raise FormatError("window spec entry %r is not an object" % (d,))
+    value = d.get(key, default)
+    if not (isinstance(value, kind) or kind is float and type(value) is int):
+        raise FormatError("window spec field %r must be a %s, got %r" % (
+            key, "number" if kind is float else kind.__name__, value))
+    return value
+
+
+def _spec_point(d):
+    return SphericalPoint(_spec_field(d, "theta", float),
+                          _spec_field(d, "phi", float))
 
 
 def disc(theta, phi, r, complement=False):
@@ -314,6 +335,8 @@ class WindowSet:
         """Build from parsed JSON: a window object or a list of them."""
         if isinstance(spec, dict):
             spec = [spec]
+        if not isinstance(spec, list):
+            raise FormatError("window spec must be an object or a list")
         return cls(tuple(Window.from_dict(d) for d in spec))
 
 

@@ -144,7 +144,6 @@ class VariogramFit:
     converged: bool
     iterations: int
     weights: str
-    message: str = ""
 
     def to_dict(self):
         m = self.model
@@ -165,20 +164,19 @@ def _weight_vector(kind, counts, gamma_model):
     raise DomainError("weights must be 'equal', 'npairs' or 'cressie'")
 
 
-def fit_variogram(curve, family, weights="equal", fix_nugget=True, init=None,
-                  seed=0, restarts=3):
+def fit_variogram(curve, family, weights="equal", fix_nugget=True, seed=0):
     """Fit a parametric variogram to an empirical curve by weighted least
     squares over (sigmasq, psi[, kappa][, nugget]).
 
-    ``init`` may carry starting values (a dict with any of sigmasq, psi,
-    kappa, nugget); the optimizer is a derivative-free simplex in
-    log-parameter space with seeded restarts, converged when the relative
-    objective change drops below 1e-10.  ``kappa2`` (gencauchy) stays fixed.
-    Returns a :class:`VariogramFit`; non-convergence is flagged, with the
-    best parameters so far.
+    The optimizer is a derivative-free simplex in log-parameter space.  It
+    starts from the largest value as sigmasq, the largest lag as psi (0.5
+    for multiquadric's shape), the family's default kappa and a tenth of
+    sigmasq as a free nugget, adds three seeded restarts and polishes the
+    best.  ``kappa2`` (gencauchy)
+    stays fixed at 1.  Returns a :class:`VariogramFit`; non-convergence is
+    flagged, with the best parameters so far.
     """
-    uses_kappa, default_kappa, _ = _KAPPA_RULES[family]
-    init = dict(init or {})
+    uses_kappa, kappa0, _ = _KAPPA_RULES[family]
     mask = (np.asarray(curve.counts) > 0) & (np.asarray(curve.lags) > 0)
     lags = np.asarray(curve.lags, dtype=np.float64)[mask]
     values = np.asarray(curve.values, dtype=np.float64)[mask]
@@ -188,66 +186,43 @@ def fit_variogram(curve, family, weights="equal", fix_nugget=True, init=None,
     if lags.size < free:
         raise DomainError("curve has %d usable bins; %d parameters to fit"
                           % (lags.size, free))
+    # multiquadric's psi is its shape, in (0, 1)
     if np.all(values == 0):
-        model = CovarianceModel(family, 0.0, init.get("psi", 1.0),
-                                init.get("kappa", default_kappa))
-        return VariogramFit(model, 0.0, True, 0, weights, "degenerate curve")
+        psi = 0.5 if family == "multiquadric" else 1.0
+        return VariogramFit(CovarianceModel(family, 0.0, psi), 0.0, True, 0,
+                            weights)
 
-    sigma0 = init.get("sigmasq", float(np.max(values)))
-    psi0 = init.get("psi", float(lags.max()))
-    if family == "multiquadric":
-        psi0 = min(init.get("psi", 0.5), 0.95)
-    kappa0 = init.get("kappa", default_kappa)
-    kappa2 = init.get("kappa2", 1.0)
-    nugget0 = init.get("nugget", 0.0)
+    sigma0 = float(np.max(values))
+    psi0 = 0.5 if family == "multiquadric" else float(lags.max())
     scale = max(sigma0, 1e-12)
 
-    # log-parameter packing keeps the simplex inside the valid domain
-    def pack(sigmasq, psi, kappa, nugget):
-        u = [math.log(max(sigmasq, 1e-12 * scale)), math.log(psi)]
-        if uses_kappa:
-            u.append(math.log(max(kappa, 1e-6)))
-        if not fix_nugget:
-            u.append(math.log(max(nugget, 1e-9 * scale)))
-        return np.array(u)
+    # log parameters keep the simplex inside the positive domain
+    start = [math.log(max(sigma0, 1e-12 * scale)), math.log(psi0)]
+    if uses_kappa:
+        start.append(math.log(kappa0))
+    if not fix_nugget:
+        start.append(math.log(max(0.1 * sigma0, 1e-9 * scale)))
 
-    def unpack(u):
-        sigmasq = math.exp(u[0])
-        psi = math.exp(u[1])
-        pos = 2
-        kappa = None
-        if uses_kappa:
-            kappa = math.exp(u[pos])
-            pos += 1
-        nugget = nugget0 if fix_nugget else math.exp(u[pos])
-        return sigmasq, psi, kappa, nugget
-
-    _, kdefault, kcheck = _KAPPA_RULES[family]
+    def model_at(u):
+        sigmasq, psi, *rest = map(math.exp, u)
+        kappa = rest[0] if uses_kappa else None
+        nugget = 0.0 if fix_nugget else rest[-1]
+        return CovarianceModel(family, sigmasq, psi, kappa, 1.0, nugget)
 
     def objective(u):
         try:
-            sigmasq, psi, kappa, nugget = unpack(u)
-        except OverflowError:
-            # a parameter the curve does not pin down drifted off the
-            # float range (sinepower ignores psi)
-            return 1e30
-        if family == "multiquadric" and psi >= 1:
-            return 1e30
-        if uses_kappa and not kcheck(kappa):
-            return 1e30
-        try:
-            model = CovarianceModel(family, sigmasq, psi, kappa, kappa2, nugget)
-        except ParameterError:
+            model = model_at(u)
+        except (OverflowError, ParameterError):
+            # outside the family domain, or a parameter the curve does not
+            # pin down drifted off the float range (sinepower ignores psi)
             return 1e30
         gm = variogram_model(lags, model)
         w = _weight_vector(weights, counts, gm)
         return float(np.sum(w * (values - gm) ** 2))
 
-    if uses_kappa and not kcheck(kappa0):
-        kappa0 = kdefault
     rng = numpy_generator(seed)
-    starts = [pack(sigma0, psi0, kappa0, nugget0 or 0.1 * sigma0)]
-    for _ in range(restarts):
+    starts = [np.array(start)]
+    for _ in range(3):
         starts.append(starts[0] + rng.normal(scale=0.4, size=len(starts[0])))
 
     best = None
@@ -269,7 +244,5 @@ def fit_variogram(curve, family, weights="equal", fix_nugget=True, init=None,
     if res.fun <= best.fun:
         best = res
 
-    sigmasq, psi, kappa, nugget = unpack(best.x)
-    model = CovarianceModel(family, sigmasq, psi, kappa, kappa2, nugget)
-    return VariogramFit(model, float(best.fun), bool(best.success),
-                        total_iters, weights, best.message)
+    return VariogramFit(model_at(best.x), float(best.fun), bool(best.success),
+                        total_iters, weights)

@@ -188,17 +188,17 @@ def bar_chart(centers, heights, xlabel="", ylabel="", title=""):
 # ---------------------------------------------------------------------------
 # all-sky view
 
-def mollweide_xy(theta, phi, max_iter=25):
+def mollweide_xy(theta, phi):
     """Equal-area projection of (theta, phi) onto an ellipse of width
     2*sqrt(2)*2 and height 2*sqrt(2): Newton iteration for the auxiliary
-    angle a in 2a + sin 2a = pi sin(lat), at most ``max_iter`` steps."""
+    angle a in 2a + sin 2a = pi sin(lat), at most 25 steps."""
     theta = np.asarray(theta, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
     lat = math.pi / 2 - theta
     lon = (phi + math.pi) % (2 * math.pi) - math.pi
     target = math.pi * np.sin(lat)
     alpha = np.arcsin(np.clip(target / math.pi, -1, 1))
-    for _ in range(max_iter):
+    for _ in range(25):
         f = 2 * alpha + np.sin(2 * alpha) - target
         fprime = 2 + 2 * np.cos(2 * alpha)
         step = np.where(np.abs(fprime) > 1e-12, f / np.maximum(fprime, 1e-12), 0.0)
@@ -210,7 +210,7 @@ def mollweide_xy(theta, phi, max_iter=25):
     return x, y
 
 
-def sky_chart(theta, phi, values=None, title="", point_size=1.5):
+def sky_chart(theta, phi, values=None, title=""):
     """All-sky scatter in the equal-area elliptical view; values (when
     given) color points through the 256-stop ramp."""
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
@@ -235,7 +235,6 @@ def sky_chart(theta, phi, values=None, title="", point_size=1.5):
     else:
         colors = ["#1f4e9c"] * len(x)
     for xi, yi, color in zip(x, y, colors):
-        canvas.add('<circle cx="%s" cy="%s" r="%s" fill="%s"/>'
-                   % (_fmt(cx + xi * scale), _fmt(cy - yi * scale),
-                      _fmt(point_size), color))
+        canvas.add('<circle cx="%s" cy="%s" r="1.50" fill="%s"/>'
+                   % (_fmt(cx + xi * scale), _fmt(cy - yi * scale), color))
     return canvas.render()

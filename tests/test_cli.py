@@ -362,3 +362,61 @@ def test_plot_draws_written_tables(runner, index_map, tmp_path):
         result = invoke(runner, ["plot", kind, str(table), "-o", str(svg)])
         assert result.exit_code == 0
         assert svg.read_text().count(marker) == count
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "nope.csv"],
+    ["covps", "nope.csv", "--lmax", "2", "-o", "c.csv"],
+    ["plot", "renyi", "nope.csv", "-o", "p.svg"],
+    ["window", "MAP", "--spec", "nope.json"],
+], ids=["fit", "covps", "plot-renyi", "window-spec"])
+def test_missing_input_file_exits_2(runner, small_map, tmp_path, monkeypatch,
+                                    args):
+    monkeypatch.chdir(tmp_path)
+    args = [str(small_map) if a == "MAP" else a for a in args]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert "nope." in result.output
+
+
+@pytest.fixture
+def fit_inputs(small_map, tmp_path):
+    """A frame CSV with its sidecar and a variogram curve CSV."""
+    frame_csv = tmp_path / "s.csv"
+    invoke(CliRunner(), ["sample", str(small_map), "--size", "50",
+                         "-o", str(frame_csv)])
+    curve_csv = tmp_path / "v.csv"
+    lags = np.linspace(0.1, 1.0, 10)
+    EmpiricalCurve(lags, 1 - np.exp(-lags), np.full(10, 5.0), 1.0,
+                   10).write_csv(curve_csv)
+    return frame_csv, curve_csv
+
+
+@pytest.mark.parametrize("kind, text, code", [
+    ("spec", '{"kind": "disc",', 2),
+    ("spec", '{"kind": "disc"}', 2),
+    ("spec", '{"kind": "disc", "center": {"theta": "a", "phi": 0}, "r": 0.5}',
+     2),
+    ("spec", "[1]", 2),
+    ("spec", '{"kind": "disc", "center": {"theta": 1, "phi": 0}, "r": 4}', 4),
+    ("sidecar", "{}", 2),
+    ("sidecar", '{"nside": 16,', 2),
+    ("fit", '{"family": "exponential", "psi": 0.5}', 2),
+    ("fit", '{"family": "exponential",', 2),
+], ids=["spec-truncated", "spec-no-center", "spec-string-theta",
+        "spec-not-object", "spec-radius-domain", "sidecar-empty",
+        "sidecar-truncated", "fit-no-sigmasq", "fit-truncated"])
+def test_malformed_json_input_exits_2(runner, small_map, fit_inputs, tmp_path,
+                                      kind, text, code):
+    frame_csv, curve_csv = fit_inputs
+    bad = tmp_path / ("s.csv.meta.json" if kind == "sidecar" else "bad.json")
+    bad.write_text(text)
+    args = {"spec": ["window", str(small_map), "--spec", str(bad)],
+            "sidecar": ["variogram", str(frame_csv),
+                        "-o", str(tmp_path / "x.csv")],
+            "fit": ["plot", "fit", str(curve_csv), "--fit-json", str(bad),
+                    "-o", str(tmp_path / "p.svg")]}[kind]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == code
+    if code == 2:   # a domain error in a well-formed spec stays exit 4
+        assert bad.name in result.output

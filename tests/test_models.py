@@ -135,8 +135,11 @@ def test_fit_noisy_matern_within_ten_percent():
 def test_fit_zero_curve_gives_zero_variance():
     lags = np.linspace(0.05, 1.0, 12)
     curve = EmpiricalCurve(lags, np.zeros(12), np.full(12, 10.0), 1.0, 12)
-    fit = fit_variogram(curve, "exponential")
-    assert fit.model.sigmasq == 0.0 and fit.converged
+    for family in FAMILIES:
+        fit = fit_variogram(curve, family)
+        assert fit.model.sigmasq == 0.0 and fit.converged
+        # psi is multiquadric's shape, in (0, 1)
+        assert fit.model.psi == (0.5 if family == "multiquadric" else 1.0)
 
 
 def test_fit_free_nugget():
