@@ -51,20 +51,23 @@ def _json_out(payload, out):
         click.echo(text, nl=False)
 
 
-def _load_frame(path, sample=None, seed=0, columns=None):
-    """A frame from either a map file or a frame CSV, optionally sampled."""
+def _load_frame(path, sample=None, seed=0, columns=None, region=None):
+    """A frame from either a map file or a frame CSV, optionally sampled or
+    cut to a window region (a map then reads only the rows inside it)."""
     if str(path).endswith(".csv"):
         f = skyframe.read_csv(path)
         if columns:
             missing = [c for c in columns if c not in f.columns]
             if missing:
                 raise SchemaError("missing columns %s" % missing)
+        if region is not None:
+            f = skyframe.extract_window(f, region)
     else:
         src = fitsio.open_map(path)
         if sample is not None:
             return skyframe.frame_from_map(src, sample_size=sample, seed=seed,
                                            columns=columns)
-        f = skyframe.frame_from_map(src, columns=columns)
+        f = skyframe.frame_from_map(src, columns=columns, region=region)
     if sample is not None:
         f = skyframe.sample_frame(f, sample, seed)
     return f
@@ -188,9 +191,7 @@ def sample(input_path, size, seed, out):
 def window(input_path, spec_path, out, report):
     """Extract the rows inside a window region; print a summary report."""
     def run():
-        region = _load_windows([spec_path])[0]
-        f = _load_frame(input_path)
-        sub = skyframe.extract_window(f, region)
+        sub = _load_frame(input_path, region=_load_windows([spec_path])[0])
         if out:
             skyframe.write_csv(sub, out)
         summary = skyframe.summarize(sub)
@@ -284,9 +285,8 @@ def covps(spectrum_path, lmax, points, out):
 def entropy(input_path, column, bins, window_path):
     """Histogram entropy of a column, in bits."""
     def run():
-        f = _load_frame(input_path, columns=[column])
-        if window_path:
-            f = skyframe.extract_window(f, _load_windows([window_path])[0])
+        region = _load_windows([window_path])[0] if window_path else None
+        f = _load_frame(input_path, columns=[column], region=region)
         return {"entropy_bits": geostat.entropy(f, column, bins)}
     _json_out(_guarded("entropy", run), None)
 
@@ -299,9 +299,8 @@ def entropy(input_path, column, bins, window_path):
 def fmf(input_path, column, alpha, window_path):
     """Excursion-set area: where the column exceeds the threshold."""
     def run():
-        f = _load_frame(input_path, columns=[column])
-        if window_path:
-            f = skyframe.extract_window(f, _load_windows([window_path])[0])
+        region = _load_windows([window_path])[0] if window_path else None
+        f = _load_frame(input_path, columns=[column], region=region)
         return {"area": geostat.first_minkowski(f, column, alpha)}
     _json_out(_guarded("fmf", run), None)
 

@@ -8,6 +8,7 @@ carry explicit per-row coordinates.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,9 @@ from .geom import WindowSet, sph2cart
 from .rng import sample_without_replacement
 
 _CHUNK = 1 << 20
+# windows classify the nested cells of this resolution (or of the frame's
+# own, when coarser) before any pixel center is tested
+_CELL_NSIDE = 32
 
 CMB = "cmb"
 HP = "hp"
@@ -78,11 +82,11 @@ class SkyFrame:
             return self.coords
         return healpix.pix2ang(self.nside, self.pix, self.scheme)
 
-    def positions(self):
-        """Row coordinates as unit vectors, shape (n, 3)."""
+    def positions(self, rows=slice(None)):
+        """Coordinates of the selected rows as unit vectors, shape (n, 3)."""
         if self.coords is not None:
-            return sph2cart(*self.coords)
-        return healpix.pix2vec(self.nside, self.pix, self.scheme)
+            return sph2cart(self.coords[0][rows], self.coords[1][rows])
+        return healpix.pix2vec(self.nside, self.pix[rows], self.scheme)
 
     def with_scheme(self, scheme):
         """Same frame re-addressed under the other ordering scheme."""
@@ -116,11 +120,14 @@ def full_frame(nside, scheme=healpix.NESTED, columns=None):
     return SkyFrame(pix, scheme, nside, columns or {})
 
 
-def frame_from_map(src, rows=None, sample_size=None, seed=0, columns=None):
+def frame_from_map(src, rows=None, sample_size=None, seed=0, columns=None,
+                   region=None):
     """Build a cmb frame from an opened map source.
 
     ``rows`` selects explicit 1-based row indices (sorted, unique);
-    ``sample_size`` draws a seeded simple random sample instead.  Pixel
+    ``sample_size`` draws a seeded simple random sample instead; ``region``
+    keeps the rows whose pixel centers lie in it, reads only those
+    (:func:`window_pixels`) and records the region as provenance.  Pixel
     indices equal the selected row indices under the header's ordering,
     so the map must hold one row per pixel.
     """
@@ -128,9 +135,12 @@ def frame_from_map(src, rows=None, sample_size=None, seed=0, columns=None):
         raise FormatError("%s holds %d rows; NSIDE %d needs %d"
                           % (src.path, src.row_count, src.nside,
                              healpix.npix(src.nside)))
-    if rows is not None and sample_size is not None:
-        raise DomainError("pass rows or sample_size, not both")
+    if sum(x is not None for x in (rows, sample_size, region)) > 1:
+        raise DomainError("pass at most one of rows, sample_size and region")
     scheme = src.ordering or healpix.RING
+    if region is not None:
+        region = _region(region)
+        rows = window_pixels(src.nside, region, scheme)
     if sample_size is not None:
         table, pix = src.sample_rows(sample_size, seed, columns)
     elif rows is not None:
@@ -139,7 +149,10 @@ def frame_from_map(src, rows=None, sample_size=None, seed=0, columns=None):
     else:
         pix = np.arange(1, src.row_count + 1, dtype=np.int64)
         table = src.read_all(columns)
-    return SkyFrame(pix, scheme, src.nside, table)
+    out = SkyFrame(pix, scheme, src.nside, table)
+    if region is not None:
+        out.windows.append(region)
+    return out
 
 
 def assign_pixels(theta, phi, columns, nside, require_unique=False):
@@ -166,21 +179,88 @@ def assign_pixels(theta, phi, columns, nside, require_unique=False):
                     coords=(theta, phi))
 
 
-def extract_window(frame, region):
-    """Rows whose coordinates fall inside the region (pixel centers decide
-    membership for cmb frames); the region is recorded as provenance."""
+def _cell_radius(nside):
+    """Bound on the angle from a nested pixel's center to any point of the
+    pixel: HEALPix ``max_pixrad`` (Gorski et al. 2005), the angle from the
+    center of the pixel at a face's polar corner to that corner, widened
+    by 5% to absorb rounding in the angles it is compared with."""
+    z_a = 2.0 / 3.0
+    z_b = 1.0 - (1.0 - 1.0 / nside) ** 2 / 3.0
+    a = sph2cart(math.acos(z_a), math.pi / (4 * nside))
+    b = sph2cart(math.acos(z_b), 0.0)
+    return 1.05 * math.acos(min(1.0, float(a @ b)))
+
+
+def _region(region):
     if isinstance(region, (list, tuple)):
         region = WindowSet(tuple(region))
     if not isinstance(region, WindowSet):
         region = WindowSet((region,))
-    keep = np.zeros(len(frame), dtype=bool)
-    for lo in range(0, len(frame), _CHUNK):
-        # a slice takes views, so only this chunk's vectors are built
-        part = frame.take(slice(lo, lo + _CHUNK))
-        keep[lo:lo + len(part)] = region.contains(part.positions())
-    out = frame.take(keep)
+    return region
+
+
+def _cell_bounds(nside, region):
+    """``(all_in, any_in, shift)`` of the region over the nested cells at
+    ``min(nside, _CELL_NSIDE)``: whether it holds every point of a cell,
+    whether it may hold any, and the shift that maps a 0-based nested
+    index at ``nside`` to its cell."""
+    cells = min(nside, _CELL_NSIDE)
+    centers = healpix.pix2vec(cells, np.arange(1, healpix.npix(cells) + 1),
+                              healpix.NESTED)
+    all_in, any_in = region.cap_bounds(centers, _cell_radius(cells))
+    return all_in, any_in, 2 * (nside // cells).bit_length() - 2
+
+
+def _center_membership(frame, region):
+    """Whether each row's coordinates fall inside the region.
+
+    Rows keyed by pixel centers are decided a whole nested cell at a time
+    (:func:`_cell_bounds`); only those in cells that straddle the region's
+    boundary go through ``pix2vec`` and ``contains``.  Rows with explicit
+    coordinates are all tested."""
+    if frame.coords is None:
+        all_in, any_in, shift = _cell_bounds(frame.nside, region)
+        nest = frame.pix
+        if frame.scheme != healpix.NESTED:
+            nest = healpix.ring2nest(frame.nside, nest)
+        cell = (nest - 1) >> shift
+        keep = all_in[cell]
+        test = np.flatnonzero(any_in[cell] & ~keep)
+    else:   # every row, a slice (a view) at a time
+        keep = np.zeros(len(frame), dtype=bool)
+        test = None
+    for lo in range(0, len(frame) if test is None else len(test), _CHUNK):
+        rows = slice(lo, lo + _CHUNK) if test is None else test[lo:lo + _CHUNK]
+        keep[rows] = region.contains(frame.positions(rows))
+    return keep
+
+
+def extract_window(frame, region):
+    """Rows whose coordinates fall inside the region (pixel centers decide
+    membership for frames without explicit coordinates); the region is
+    recorded as provenance."""
+    region = _region(region)
+    out = frame.take(_center_membership(frame, region))
     out.windows = list(frame.windows) + [region]
     return out
+
+
+def window_pixels(nside, region, scheme=healpix.NESTED):
+    """Sorted 1-based indices, under ``scheme``, of the pixels whose
+    centers lie in the region.
+
+    Only the pixels of nested cells that the region may reach are listed,
+    and only those of cells that straddle its boundary are tested, so a
+    small window costs in proportion to its area, not to the sky."""
+    region = _region(region)
+    _, any_in, shift = _cell_bounds(nside, region)
+    pix = ((np.flatnonzero(any_in)[:, None] << shift)
+           + np.arange(1, (1 << shift) + 1)).ravel()
+    pix = pix[_center_membership(SkyFrame(pix, healpix.NESTED, nside),
+                                 region)]
+    if scheme == healpix.NESTED:
+        return pix
+    return np.sort(healpix.nest2ring(nside, pix))
 
 
 def sample_frame(frame, sample_size, seed):

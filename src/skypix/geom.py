@@ -219,6 +219,35 @@ class Window:
             out |= _convex_contains(np.array(tri), xyz)
         return out
 
+    def cap_bounds(self, centers, radius):
+        """Membership of whole caps: for spherical caps of angular
+        ``radius`` about the unit vectors ``centers`` (n, 3), returns
+        ``(all_in, any_in)``.  Where ``all_in`` holds, :meth:`contains`
+        accepts every point of the cap; where ``any_in`` fails, it accepts
+        none.  Both allow for the edge tolerance, so only caps with
+        ``any_in & ~all_in`` need their points tested."""
+        all_in, any_in = self._base_cap_bounds(centers, radius)
+        return (~any_in, ~all_in) if self.complement else (all_in, any_in)
+
+    def _base_cap_bounds(self, centers, radius):
+        if self.kind == "disc":
+            c = self.center.to_vector()
+            d = np.arccos(np.clip(centers @ c, -1.0, 1.0))
+            nearest = np.cos(np.maximum(d - radius, 0.0))
+            return (d + radius <= self.r,
+                    nearest >= math.cos(self.r) - 2 * _EDGE_TOL)
+        verts = self.vertex_array()
+        if self.assumed_convex:
+            return _convex_cap_bounds(verts, centers, radius)
+        all_in = np.zeros(len(centers), dtype=bool)
+        any_in = np.zeros(len(centers), dtype=bool)
+        for tri in triangulate(self):
+            tri_all, tri_any = _convex_cap_bounds(np.array(tri), centers,
+                                                  radius)
+            all_in |= tri_all
+            any_in |= tri_any
+        return all_in, any_in
+
     def describe(self):
         kind = ("minus." if self.complement else "") + self.kind
         return {"kind": kind, "area": self.area()}
@@ -244,7 +273,7 @@ class Window:
         if kind == "disc":
             center = _spec_point(_spec_field(d, "center", dict))
             return cls("disc", complement, center=center,
-                       r=float(_spec_field(d, "r", float)))
+                       r=_spec_field(d, "r", float))
         if kind == "polygon":
             verts = _spec_field(d, "vertices", list)
             return cls("polygon", complement,
@@ -256,14 +285,22 @@ class Window:
 
 def _spec_field(d, key, kind, default=None):
     """``d[key]`` of a window spec object, checked to be a ``kind`` (float
-    takes any JSON number); ``default`` when the key is absent."""
+    takes any JSON number that is a finite float, and returns it as one);
+    ``default`` when the key is absent."""
     if not isinstance(d, dict):
         raise FormatError("window spec entry %r is not an object" % (d,))
     value = d.get(key, default)
-    if not (isinstance(value, kind) or kind is float and type(value) is int):
-        raise FormatError("window spec field %r must be a %s, got %r" % (
-            key, "number" if kind is float else kind.__name__, value))
-    return value
+    if kind is float and type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:   # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    elif kind is not float and isinstance(value, kind):
+        return value
+    raise FormatError("window spec field %r must be a %s, got %.80r" % (
+        key, "finite number" if kind is float else kind.__name__, value))
 
 
 def _spec_point(d):
@@ -283,19 +320,39 @@ def polygon(points, complement=False, assumed_convex=False):
                   assumed_convex=assumed_convex)
 
 
-def _convex_contains(verts, xyz):
-    """Same-side test: inside iff on the interior side of every edge plane."""
+def _edge_normals(verts):
+    """Edge-plane normals of a convex polygon, each turned toward the
+    vertex centroid; unnormalized, so ``|n|`` is the sine of the edge."""
     centroid = verts.mean(axis=0)
     norm = np.linalg.norm(centroid)
     if norm < 1e-12:
         raise GeometryError("degenerate polygon")
     centroid = centroid / norm
+    normals = np.cross(verts, np.roll(verts, -1, axis=0))
+    return normals * np.where(normals @ centroid >= 0, 1.0, -1.0)[:, None]
+
+
+def _convex_contains(verts, xyz):
+    """Same-side test: inside iff on the interior side of every edge plane."""
     inside = np.ones(np.asarray(xyz).shape[:-1], dtype=bool)
-    for i in range(len(verts)):
-        n = np.cross(verts[i], verts[(i + 1) % len(verts)])
-        sign = 1.0 if n @ centroid >= 0 else -1.0
-        inside &= (np.asarray(xyz) @ (sign * n)) >= -_EDGE_TOL
+    for n in _edge_normals(verts):
+        inside &= (np.asarray(xyz) @ n) >= -_EDGE_TOL
     return inside
+
+
+def _convex_cap_bounds(verts, centers, radius):
+    """``(all_in, any_in)`` of caps against a convex polygon, edge plane by
+    edge plane: the signed angle of a cap's points to a plane lies within
+    ``radius`` of its center's."""
+    all_in = np.ones(len(centers), dtype=bool)
+    any_in = np.ones(len(centers), dtype=bool)
+    for n in _edge_normals(verts):
+        sine = np.linalg.norm(n)
+        s = np.arcsin(np.clip(centers @ n / sine, -1.0, 1.0))
+        all_in &= s >= radius
+        nearest = sine * np.sin(np.minimum(s + radius, 0.5 * math.pi))
+        any_in &= nearest >= -2 * _EDGE_TOL
+    return all_in, any_in
 
 
 @dataclass(frozen=True)
@@ -323,6 +380,23 @@ class WindowSet:
         for w in comp:
             inside &= w.contains(xyz)
         return inside
+
+    def cap_bounds(self, centers, radius):
+        """``(all_in, any_in)`` of :meth:`Window.cap_bounds`, combined
+        under the set rule in three-valued logic."""
+        plain = [w for w in self.windows if not w.complement]
+        comp = [w for w in self.windows if w.complement]
+        all_in = np.full(len(centers), not plain)
+        any_in = all_in.copy()
+        for w in plain:
+            w_all, w_any = w.cap_bounds(centers, radius)
+            all_in |= w_all
+            any_in |= w_any
+        for w in comp:
+            w_all, w_any = w.cap_bounds(centers, radius)
+            all_in &= w_all
+            any_in &= w_any
+        return all_in, any_in
 
     def describe(self):
         return [w.describe() for w in self.windows]

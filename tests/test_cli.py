@@ -103,6 +103,42 @@ def test_window_report(runner, small_map, tmp_path):
     assert len(extracted) == payload["rows"]
 
 
+@pytest.mark.parametrize("ordering", ["nested", "ring"])
+def test_window_reads_only_member_rows(runner, tmp_path, monkeypatch,
+                                       ordering):
+    nside = 64
+    n = 12 * nside * nside
+    path = tmp_path / "m.fits"
+    fits.write_map(path, {"I": np.random.default_rng(3).standard_normal(
+        n).astype(np.float32)}, nside=nside, ordering=ordering)
+    annulus = geom.WindowSet((geom.disc(math.pi / 2, 0, 0.5, complement=True),
+                              geom.disc(math.pi / 2, 0, 1.0)))
+    spec = tmp_path / "annulus.json"
+    spec.write_text(json.dumps(annulus.to_list()))
+    opened, real_open = [], fits.open_map
+
+    def spy(p):
+        opened.append(real_open(p))
+        return opened[-1]
+
+    monkeypatch.setattr(fits, "open_map", spy)
+    out, report = tmp_path / "w.csv", tmp_path / "w.json"
+    invoke(runner, ["window", str(path), "--spec", str(spec), "-o", str(out),
+                    "--report", str(report)])
+    # the whole map, then the window test on every pixel center
+    whole = frame.extract_window(frame.frame_from_map(fits.open_map(path)),
+                                 annulus)
+    frame.write_csv(whole, tmp_path / "full.csv")
+    assert out.read_bytes() == (tmp_path / "full.csv").read_bytes()
+    assert (tmp_path / "w.csv.meta.json").read_bytes() == (
+        tmp_path / "full.csv.meta.json").read_bytes()
+    assert json.loads(report.read_text()) == json.loads(json.dumps(
+        frame.summarize(whole)))
+    src = opened[0]
+    assert src.payload_bytes_read == len(whole) * src.row_bytes
+    assert src.payload_bytes_read < 0.25 * n * src.row_bytes
+
+
 def test_cov_bin_structure(runner, small_map, tmp_path):
     out = tmp_path / "cov.csv"
     result = invoke(runner, ["cov", str(small_map), "--max-dist", "0.5",
@@ -398,13 +434,15 @@ def fit_inputs(small_map, tmp_path):
     ("spec", '{"kind": "disc", "center": {"theta": "a", "phi": 0}, "r": 0.5}',
      2),
     ("spec", "[1]", 2),
+    ("spec", '{"kind": "disc", "center": {"theta": 1%s, "phi": 0}, "r": 0.5}'
+     % ("0" * 400), 2),
     ("spec", '{"kind": "disc", "center": {"theta": 1, "phi": 0}, "r": 4}', 4),
     ("sidecar", "{}", 2),
     ("sidecar", '{"nside": 16,', 2),
     ("fit", '{"family": "exponential", "psi": 0.5}', 2),
     ("fit", '{"family": "exponential",', 2),
 ], ids=["spec-truncated", "spec-no-center", "spec-string-theta",
-        "spec-not-object", "spec-radius-domain", "sidecar-empty",
+        "spec-not-object", "spec-huge-theta", "spec-radius-domain", "sidecar-empty",
         "sidecar-truncated", "fit-no-sigmasq", "fit-truncated"])
 def test_malformed_json_input_exits_2(runner, small_map, fit_inputs, tmp_path,
                                       kind, text, code):

@@ -195,6 +195,138 @@ def test_empty_extraction_is_fine():
     assert frame.summarize(out)["rows"] == 0
 
 
+def test_cell_radius_bounds_every_cell():
+    fine = 512
+    pix = np.arange(1, sp.npix(fine) + 1)
+    xyz = sp.pix2vec(fine, pix, sp.NESTED)
+    for cells in (1, 2, 4, 8, 16, frame._CELL_NSIDE):
+        centers = sp.pix2vec(cells, np.arange(1, sp.npix(cells) + 1),
+                             sp.NESTED)
+        owner = (pix - 1) >> (2 * (fine // cells).bit_length() - 2)
+        dots = np.einsum("ij,ij->i", xyz, centers[owner])
+        assert np.arccos(np.clip(dots, -1, 1)).max() <= frame._cell_radius(
+            cells)
+
+
+def _offset(anchor, bearing, dist):
+    """The direction ``dist`` radians from ``anchor`` along ``bearing``."""
+    e1 = np.cross(anchor, [0.0, 0.0, 1.0] if abs(anchor[2]) < 0.9
+                  else [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(anchor, e1)
+    v = (math.cos(dist) * anchor
+         + math.sin(dist) * (math.cos(bearing) * e1 + math.sin(bearing) * e2))
+    return geom.cart2sph(v / np.linalg.norm(v))
+
+
+@st.composite
+def _windows(draw, nside, size, complements):
+    """1-3 discs and polygons within ``size`` of an anchor that sits on a
+    corner, an edge or the center of a cell at ``frame._CELL_NSIDE``."""
+    cell = draw(st.integers(1, sp.npix(frame._CELL_NSIDE)))
+    outline = sp.pixel_boundary(
+        sp.PixelId(cell, sp.NESTED, frame._CELL_NSIDE), 2)
+    spot = draw(st.integers(-1, len(outline) - 1))
+    anchor = (sp.pix2vec(frame._CELL_NSIDE, cell, sp.NESTED) if spot < 0
+              else outline[spot])
+    windows = []
+    for _ in range(draw(st.integers(1, 3))):
+        complement = complements and draw(st.booleans())
+        center = _offset(anchor, draw(st.floats(0, 2 * math.pi)),
+                         draw(st.floats(0, size / 4)))
+        kind = draw(st.sampled_from(["disc", "rim", "convex", "star"]))
+        if kind in ("disc", "rim"):
+            r = draw(st.floats(size / 100, size))
+            if kind == "rim":   # the rim runs through a pixel center
+                near = sp.ang2pix(nside, *_offset(
+                    geom.sph2cart(*center), 0.0, r), sp.NESTED)
+                r = float(geom.geodesic_distance(
+                    geom.sph2cart(*center), sp.pix2vec(nside, near,
+                                                       sp.NESTED)))
+            windows.append(geom.disc(*center, max(r, 1e-9), complement))
+            continue
+        n = draw(st.integers(3, 7))
+        radius = draw(st.floats(size / 4, size))
+        if kind == "star":   # non-convex: every other vertex pulled in
+            n = max(n, 4)
+            radii = [radius if k % 2 else radius / 3 for k in range(n)]
+        else:
+            radii = [radius] * n
+        turn = draw(st.floats(0, 2 * math.pi))
+        points = [_offset(geom.sph2cart(*center), turn + 2 * math.pi * k / n,
+                          radii[k]) for k in range(n)]
+        windows.append(geom.polygon(
+            points, complement,
+            assumed_convex=kind == "convex" and draw(st.booleans())))
+    return anchor, geom.WindowSet(tuple(windows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(0, 7), st.sampled_from([0.05, 0.5, 1.5]),
+       st.booleans())
+def test_window_pixels_match_full_resolution(data, level, size, ring):
+    nside = 1 << level
+    _, region = data.draw(_windows(nside, size, complements=True))
+    scheme = sp.RING if ring else sp.NESTED
+    pix = np.arange(1, sp.npix(nside) + 1)
+    expected = pix[region.contains(sp.pix2vec(nside, pix, scheme))]
+    assert_array_equal(frame.window_pixels(nside, region, scheme), expected)
+    sky = frame.full_frame(nside, scheme)
+    assert_array_equal(frame.extract_window(sky, region).pix, expected)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.integers(8, 12), st.booleans())
+def test_window_pixels_match_local_pixels_up_to_nside_4096(data, level, ring):
+    nside = 1 << level
+    anchor, region = data.draw(_windows(nside, 0.02, complements=False))
+    # every member lies within 0.03 of the anchor, so within 0.07 of the
+    # center of its cell: test every pixel of those cells at full resolution
+    cells = np.arange(1, sp.npix(frame._CELL_NSIDE) + 1)
+    near = cells[geom.geodesic_distance(
+        sp.pix2vec(frame._CELL_NSIDE, cells, sp.NESTED), anchor) <= 0.07]
+    per_cell = (nside // frame._CELL_NSIDE) ** 2
+    local = ((near[:, None] - 1) * per_cell
+             + np.arange(1, per_cell + 1)).ravel()
+    expected = local[region.contains(sp.pix2vec(nside, local, sp.NESTED))]
+    if ring:
+        expected = np.sort(sp.nest2ring(nside, expected))
+    scheme = sp.RING if ring else sp.NESTED
+    assert_array_equal(frame.window_pixels(nside, region, scheme), expected)
+    # a cmb frame of those pixels, against the plain and the complemented
+    # region, in its own ordering
+    sky = frame.SkyFrame(local, sp.NESTED, nside).with_scheme(scheme)
+    for cut in (region, geom.WindowSet(tuple(w.complemented()
+                                             for w in region.windows))):
+        keep = cut.contains(sky.positions())
+        assert_array_equal(frame.extract_window(sky, cut).pix, sky.pix[keep])
+
+
+def test_frame_from_map_region_reads_only_window_rows(tmp_path):
+    nside = 64
+    n = sp.npix(nside)
+    region = geom.WindowSet((geom.disc(math.pi / 2, 0.0, 0.5, True),
+                             geom.disc(math.pi / 2, 0.0, 1.0)))
+    for ordering in ("nested", "ring"):
+        path = tmp_path / (ordering + ".fits")
+        fits.write_map(path, {"I": np.arange(n, dtype=np.float32),
+                              "Q": -np.arange(n, dtype=np.float64)},
+                       nside=nside, ordering=ordering)
+        whole = frame.extract_window(frame.frame_from_map(fits.open_map(path)),
+                                     region)
+        src = fits.open_map(path)
+        cut = frame.frame_from_map(src, region=region)
+        assert_array_equal(cut.pix, whole.pix)
+        for name in ("I", "Q"):
+            assert cut.columns[name].dtype == whole.columns[name].dtype
+            assert_array_equal(cut.columns[name], whole.columns[name])
+        assert cut.windows == whole.windows
+        assert src.payload_bytes_read == len(cut) * src.row_bytes
+        assert src.payload_bytes_read <= 0.25 * n * src.row_bytes
+    with pytest.raises(DomainError):
+        frame.frame_from_map(src, rows=[1], region=region)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

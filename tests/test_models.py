@@ -1,13 +1,22 @@
 import math
+import os
+from fractions import Fraction
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import optimize
 
+import skypix
 from skypix.geostat import (CovarianceModel, correlation, cov_model,
                             variogram_model, fit_variogram, EmpiricalCurve,
                             FAMILIES)
+from skypix.geostat.models import _KAPPA_RULES
 from skypix.errors import DomainError, ParameterError
+from skypix.rng import numpy_generator
 
 
 def make(family, sigmasq=1.0, psi=1.0, **kw):
@@ -48,6 +57,22 @@ def test_spherical_compact_support():
     assert cov_model(0.5, model) == 0.0
     assert cov_model(2.0, model) == 0.0
     assert cov_model(0.49, model) > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 20, 29, 30, 45, 131, 400])
+def test_matern_matches_half_integer_closed_form(n):
+    # kappa = n + 1/2: rho = exp(-t) * sum_k n!(2n-k)!/((2n)!k!(n-k)!) (2t)^k,
+    # summed exactly; past kappa 30 rho comes from K's uniform expansion,
+    # and below it tp**kappa * kv overflows at the smallest and largest t
+    t = np.array([1e-12, 1e-3, 0.1, 1.0, 5.0, 20.0, 60.0, 150.0, 300.0,
+                  800.0])
+    f = math.factorial
+    coef = [Fraction(f(n) * f(2 * n - k), f(2 * n) * f(k) * f(n - k))
+            for k in range(n + 1)]
+    exact = [float(sum(c * Fraction(2 * x) ** k for k, c in enumerate(coef)))
+             * math.exp(-x / 2) * math.exp(-x / 2) for x in t]
+    model = CovarianceModel("matern", 1.0, 1.0, kappa=n + 0.5)
+    assert_allclose(correlation(model, t), exact, rtol=1e-12, atol=1e-300)
 
 
 def test_matern_half_integer_closed_forms():
@@ -179,3 +204,114 @@ def test_fit_insufficient_bins():
     curve = EmpiricalCurve([0.1, 0.2], [0.5, 0.6], [3.0, 3.0], 0.3, 2)
     with pytest.raises(DomainError):
         fit_variogram(curve, "matern")
+
+
+# ---------------------------------------------------------------------------
+# the bounded least-squares fit against a reference simplex
+
+def reference_fit(curve, family, weights="equal", fix_nugget=True, seed=0):
+    """Objective of the four-start Nelder-Mead fit plus polish that
+    fit_variogram ran before its least-squares stage, on the current model
+    forms: one CovarianceModel per evaluation, 1e30 outside the domain."""
+    uses_kappa, kappa0, _ = _KAPPA_RULES[family]
+    lags, values, counts = (np.asarray(a, dtype=np.float64) for a in
+                            (curve.lags, curve.values, curve.counts))
+    sigma0 = float(np.max(values))
+    psi0 = 0.5 if family == "multiquadric" else float(lags.max())
+    start = [math.log(sigma0), math.log(psi0)]
+    if uses_kappa:
+        start.append(math.log(kappa0))
+    if not fix_nugget:
+        start.append(math.log(0.1 * sigma0))
+
+    def objective(u):
+        try:
+            sigmasq, psi, *rest = map(math.exp, u)
+            model = CovarianceModel(family, sigmasq, psi,
+                                    rest[0] if uses_kappa else None, 1.0,
+                                    0.0 if fix_nugget else rest[-1])
+        except (OverflowError, ParameterError):
+            return 1e30
+        gm = variogram_model(lags, model)
+        w = {"equal": 1.0, "npairs": counts,
+             "cressie": counts / np.maximum(gm, 1e-300) ** 2}[weights]
+        return float(np.sum(w * (values - gm) ** 2))
+
+    rng = numpy_generator(seed)
+    starts = [np.array(start)]
+    for _ in range(3):
+        starts.append(starts[0] + rng.normal(scale=0.4, size=len(start)))
+    with np.errstate(all="ignore"):
+        best = min((optimize.minimize(
+            objective, u0, method="Nelder-Mead",
+            options={"maxiter": 10000, "xatol": 1e-12, "fatol": 1e-14,
+                     "adaptive": True}) for u0 in starts),
+            key=lambda res: res.fun)
+        polish = optimize.minimize(
+            objective, best.x, method="Nelder-Mead",
+            options={"maxiter": 10000, "xatol": 1e-13, "fatol": 1e-15,
+                     "adaptive": True})
+    return min(best.fun, polish.fun)
+
+
+def gaussian_like_curve():
+    """A step-like rise over large pair counts: matern heads for large
+    kappa, where its formula overflows."""
+    lags = (np.arange(1, 31) - 0.5) * (0.1 / 30)
+    noise = np.random.default_rng(7).standard_normal(30)
+    values = 0.5 + 0.5 * (1 - np.exp(-(lags / 0.02) ** 2)) + 0.01 * noise
+    return EmpiricalCurve(lags, values, np.round(1e6 * lags / 0.1), 0.1, 30)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fit_reaches_the_reference_simplex(family):
+    truth = CovarianceModel("matern", 2.0, 0.3, kappa=1.5)
+    curve = synth_curve(truth, max_dist=1.5, noise=0.10, seed=42)
+    fit = fit_variogram(curve, family, seed=1)
+    assert fit.objective <= reference_fit(curve, family, seed=1) * (1 + 1e-10)
+
+
+@pytest.mark.parametrize("weights", ["npairs", "cressie"])
+@pytest.mark.parametrize("fix_nugget", [True, False])
+def test_fit_with_million_pair_counts_converges(weights, fix_nugget):
+    lags = (np.arange(1, 31) - 0.5) * (0.1 / 30)
+    truth = CovarianceModel("matern", 1.0, 0.02, kappa=1.5, nugget=0.1)
+    noise = np.random.default_rng(7).standard_normal(30)
+    values = variogram_model(lags, truth) * (1 + 0.02 * noise)
+    counts = np.round(1e6 * (0.5 + lags / 0.1))
+    curve = EmpiricalCurve(lags, values, counts, 0.1, 30)
+    for family in ("matern", "exponential", "cauchy", "askey"):
+        fit = fit_variogram(curve, family, weights=weights,
+                            fix_nugget=fix_nugget)
+        assert fit.converged, family
+        # the objective is reported on the scale of the pair counts
+        gm = variogram_model(lags, fit.model)
+        w = counts / gm ** 2 if weights == "cressie" else counts
+        assert_allclose(fit.objective, np.sum(w * (values - gm) ** 2),
+                        rtol=1e-9)
+
+
+def test_fits_raise_no_runtime_warnings():
+    curve = gaussian_like_curve()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for family in FAMILIES:
+            for weights in ("equal", "npairs", "cressie"):
+                for fix_nugget in (True, False):
+                    fit = fit_variogram(curve, family, weights=weights,
+                                        fix_nugget=fix_nugget)
+                    assert math.isfinite(fit.objective)
+
+
+def test_cli_fit_prints_nothing_to_stderr(tmp_path):
+    path = tmp_path / "v.csv"
+    gaussian_like_curve().write_csv(path)
+    src = os.path.dirname(os.path.dirname(skypix.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "skypix.cli", "fit", str(path), "--family",
+         "matern", "--weights", "cressie", "--free-nugget"],
+        capture_output=True, text=True, check=True, env=env)
+    assert done.stderr == ""
+    assert '"family": "matern"' in done.stdout
