@@ -67,7 +67,13 @@ def _load_frame(path, sample=None, seed=0, columns=None, region=None):
         if sample is not None:
             return skyframe.frame_from_map(src, sample_size=sample, seed=seed,
                                            columns=columns)
-        f = skyframe.frame_from_map(src, columns=columns, region=region)
+        if region is None:
+            f = skyframe.frame_from_map(src, columns=columns)
+        else:
+            rows = skyframe.window_pixels(src.nside, region,
+                                          src.ordering or healpix.RING)
+            f = skyframe.frame_from_map(src, rows=rows, columns=columns)
+            f.windows.append(region)
     if sample is not None:
         f = skyframe.sample_frame(f, sample, seed)
     return f

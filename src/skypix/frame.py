@@ -120,14 +120,11 @@ def full_frame(nside, scheme=healpix.NESTED, columns=None):
     return SkyFrame(pix, scheme, nside, columns or {})
 
 
-def frame_from_map(src, rows=None, sample_size=None, seed=0, columns=None,
-                   region=None):
+def frame_from_map(src, rows=None, sample_size=None, seed=0, columns=None):
     """Build a cmb frame from an opened map source.
 
     ``rows`` selects explicit 1-based row indices (sorted, unique);
-    ``sample_size`` draws a seeded simple random sample instead; ``region``
-    keeps the rows whose pixel centers lie in it, reads only those
-    (:func:`window_pixels`) and records the region as provenance.  Pixel
+    ``sample_size`` draws a seeded simple random sample instead.  Pixel
     indices equal the selected row indices under the header's ordering,
     so the map must hold one row per pixel.
     """
@@ -135,12 +132,9 @@ def frame_from_map(src, rows=None, sample_size=None, seed=0, columns=None,
         raise FormatError("%s holds %d rows; NSIDE %d needs %d"
                           % (src.path, src.row_count, src.nside,
                              healpix.npix(src.nside)))
-    if sum(x is not None for x in (rows, sample_size, region)) > 1:
-        raise DomainError("pass at most one of rows, sample_size and region")
+    if rows is not None and sample_size is not None:
+        raise DomainError("pass rows or sample_size, not both")
     scheme = src.ordering or healpix.RING
-    if region is not None:
-        region = _region(region)
-        rows = window_pixels(src.nside, region, scheme)
     if sample_size is not None:
         table, pix = src.sample_rows(sample_size, seed, columns)
     elif rows is not None:
@@ -149,10 +143,7 @@ def frame_from_map(src, rows=None, sample_size=None, seed=0, columns=None,
     else:
         pix = np.arange(1, src.row_count + 1, dtype=np.int64)
         table = src.read_all(columns)
-    out = SkyFrame(pix, scheme, src.nside, table)
-    if region is not None:
-        out.windows.append(region)
-    return out
+    return SkyFrame(pix, scheme, src.nside, table)
 
 
 def assign_pixels(theta, phi, columns, nside, require_unique=False):

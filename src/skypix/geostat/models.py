@@ -52,7 +52,7 @@ class CovarianceModel:
         if self.family not in _KAPPA_RULES:
             raise ParameterError("unknown family %r (choose from %s)"
                                  % (self.family, ", ".join(FAMILIES)))
-        uses_kappa, default, _ = _KAPPA_RULES[self.family]
+        uses_kappa, default, kappa_range = _KAPPA_RULES[self.family]
         if uses_kappa and self.kappa is None:
             object.__setattr__(self, "kappa", default)
         if self.sigmasq < 0:
@@ -63,7 +63,8 @@ class CovarianceModel:
             raise ParameterError("psi must be > 0")
         if self.family == "multiquadric" and not self.psi < 1:
             raise ParameterError("multiquadric needs psi (its shape) in (0, 1)")
-        if uses_kappa and not _kappa_ok(self.family, self.kappa):
+        if uses_kappa and not (0 < self.kappa and kappa_range[0]
+                               <= self.kappa <= kappa_range[1]):
             raise ParameterError("kappa=%r outside the %s domain"
                                  % (self.kappa, self.family))
         if self.family == "gencauchy":
@@ -71,11 +72,6 @@ class CovarianceModel:
             if not 0 < k2 <= 2:
                 raise ParameterError("gencauchy needs kappa2 in (0, 2]")
             object.__setattr__(self, "kappa2", k2)
-
-
-def _kappa_ok(family, kappa):
-    lo, hi = _KAPPA_RULES[family][2]
-    return 0 < kappa and lo <= kappa <= hi
 
 
 def _debye_polynomials(count):
@@ -225,14 +221,16 @@ _WEIGHTS = ("equal", "npairs", "cressie")
 # for the kappa -> inf ridges (gencauchy, c4wendland), narrow enough that
 # every parameter stays a finite float
 _LOG_BOX = 40.0
-# the residual of a point outside the domain: above any inside it, yet
-# small enough that the TRF Jacobian and the squared sum stay finite
+# the residual where gamma leaves it non-finite or absurd (cressie's
+# values/gamma at gamma = 0, say): above any other, yet small enough that
+# the TRF Jacobian and the squared sum stay finite
 _WALL = 1e30
 
 
 def _log_box(family, start):
-    """TRF bounds on the log parameters: the box around ``start``, cut by
-    the family's kappa range and multiquadric's shape psi < 1."""
+    """Bounds on the log parameters, for TRF and the polish alike: the box
+    around ``start``, cut by the family's kappa range and multiquadric's
+    shape psi <= 1 (the fit keeps that psi below 1)."""
     lower = np.asarray(start) - _LOG_BOX
     upper = np.asarray(start) + _LOG_BOX
     if family == "multiquadric":
@@ -299,13 +297,17 @@ def fit_variogram(curve, family, weights="equal", fix_nugget=True, seed=0):
         """(sigmasq, psi, kappa, kappa2, nugget) of log parameters ``u``."""
         with np.errstate(over="ignore"):
             sigmasq, psi, *rest = np.exp(u).tolist()
+        if family == "multiquadric":
+            # exp() of a log psi within ~6e-17 of the box's edge 0 rounds
+            # to 1.0, outside the shape's domain (0, 1)
+            psi = min(psi, math.nextafter(1.0, 0.0))
         kappa = rest[0] if uses_kappa else None
         return sigmasq, psi, kappa, 1.0, 0.0 if fix_nugget else rest[-1]
 
     def residual(u):
         sigmasq, psi, kappa, kappa2, nugget = params(u)
-        # overflow, 0/0 and inf*0 leave non-finite (or absurd) residuals at
-        # points outside the domain; _WALL there steers both optimizers away
+        # overflow, 0/0 and inf*0 leave non-finite (or absurd) residuals;
+        # _WALL there steers both optimizers away
         with np.errstate(all="ignore"):
             gm = sigmasq * (1.0 - _rho(family, lags, psi, kappa, kappa2))
             gm += nugget
@@ -316,18 +318,17 @@ def fit_variogram(curve, family, weights="equal", fix_nugget=True, seed=0):
         return np.where(np.abs(r) < _WALL, r, _WALL)
 
     def objective(u):
-        _, psi, kappa, _, _ = params(u)
-        if not (0 < psi and (family != "multiquadric" or psi < 1)
-                and (kappa is None or _kappa_ok(family, kappa))):
+        # the polish keeps to the box that bounds TRF
+        if np.any(u < lower) or np.any(u > upper):
             return math.inf
         r = residual(u)
         return float(r @ r)
 
+    lower, upper = _log_box(family, start)
     rng = numpy_generator(seed)
     starts = [np.array(start)]
     for _ in range(3):
         starts.append(starts[0] + rng.normal(scale=0.4, size=len(starts[0])))
-    lower, upper = _log_box(family, starts[0])
 
     best = None
     iterations = 0

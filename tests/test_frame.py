@@ -302,7 +302,7 @@ def test_window_pixels_match_local_pixels_up_to_nside_4096(data, level, ring):
         assert_array_equal(frame.extract_window(sky, cut).pix, sky.pix[keep])
 
 
-def test_frame_from_map_region_reads_only_window_rows(tmp_path):
+def test_window_pixels_rows_read_only_window_rows(tmp_path):
     nside = 64
     n = sp.npix(nside)
     region = geom.WindowSet((geom.disc(math.pi / 2, 0.0, 0.5, True),
@@ -315,16 +315,14 @@ def test_frame_from_map_region_reads_only_window_rows(tmp_path):
         whole = frame.extract_window(frame.frame_from_map(fits.open_map(path)),
                                      region)
         src = fits.open_map(path)
-        cut = frame.frame_from_map(src, region=region)
+        rows = frame.window_pixels(nside, region, src.ordering)
+        cut = frame.frame_from_map(src, rows=rows)
         assert_array_equal(cut.pix, whole.pix)
         for name in ("I", "Q"):
             assert cut.columns[name].dtype == whole.columns[name].dtype
             assert_array_equal(cut.columns[name], whole.columns[name])
-        assert cut.windows == whole.windows
         assert src.payload_bytes_read == len(cut) * src.row_bytes
         assert src.payload_bytes_read <= 0.25 * n * src.row_bytes
-    with pytest.raises(DomainError):
-        frame.frame_from_map(src, rows=[1], region=region)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,23 @@ def test_fit_survives_parameter_drift_to_overflow():
     assert fit.objective < 1e30
 
 
+@pytest.mark.parametrize("weights", ["equal", "npairs", "cressie"])
+@pytest.mark.parametrize("fix_nugget", [True, False])
+def test_multiquadric_fit_of_a_flat_curve_keeps_its_shape_below_one(
+        weights, fix_nugget):
+    # a flat curve is fit by sending the shape psi to 1, the edge of its
+    # domain, where exp(log psi) rounds to 1.0 first
+    rng = np.random.default_rng(11)
+    lags = (np.arange(1, 31) - 0.5) * (0.05 / 30)
+    values = 1.0 + 0.001 * rng.standard_normal(30)
+    counts = np.round(1e4 * (0.5 + rng.random(30)))
+    curve = EmpiricalCurve(lags, values, counts, 0.05, 30)
+    fit = fit_variogram(curve, "multiquadric", weights=weights,
+                        fix_nugget=fix_nugget, seed=3)
+    assert 0 < fit.model.psi < 1
+    assert math.isfinite(fit.objective)
+
+
 def test_fit_insufficient_bins():
     curve = EmpiricalCurve([0.1, 0.2], [0.5, 0.6], [3.0, 3.0], 0.3, 2)
     with pytest.raises(DomainError):
