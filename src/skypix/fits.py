@@ -4,8 +4,10 @@ Only the layout used by full-sky map products is supported: a header-only
 primary HDU followed by one BINTABLE extension holding fixed-width
 big-endian rows.  Files are addressed by byte offset so that selected rows
 can be pulled out of a multi-hundred-megabyte map without reading the
-payload; opening a file touches the header blocks only, and every payload
-access is recorded on the source for inspection.
+payload; opening a file touches the header blocks only.  A row read maps
+the file read-only and copies the requested rows out in one gather, and
+every payload access is recorded on the source for inspection as one
+``(offset, length)`` extent per contiguous run of rows.
 
 Structure recap: 2880-byte logical blocks; headers are 80-character ASCII
 cards ``KEYWORD = value / comment`` ended by ``END``; the table payload
@@ -13,6 +15,7 @@ follows the extension header, zero-padded to a block boundary.
 """
 
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 
@@ -185,33 +188,47 @@ class MapSource:
     def read_rows(self, rows, columns=None):
         """Decode the given 1-based rows (sorted, unique) into named arrays.
 
-        Consecutive runs of requested rows coalesce into single reads, so
-        the bytes touched stay within the requested rows' extents.
+        The file is mapped read-only and the requested rows are copied out
+        of the payload in one gather; only the selected columns are then
+        byte-swapped.  Each contiguous run of rows is recorded as one
+        ``(offset, length)`` extent in ``payload_reads``, so the bytes
+        touched stay within the requested rows' extents.  The returned
+        arrays own their data; no view of the mapping outlives the call.
         """
         names = self._check_columns(columns)
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return {name: np.empty(0) for name in names}
-        if np.any(rows < 1) or np.any(rows > self.row_count):
-            raise BoundsError("row index out of range 1..%d" % self.row_count)
-        if np.any(np.diff(rows) <= 0):
-            raise DomainError("rows must be sorted and unique")
         dtype = self._row_dtype()
-        raw = np.empty(rows.size, dtype=dtype)
-        breaks = np.nonzero(np.diff(rows) > 1)[0] + 1
-        run_starts = np.concatenate([[0], breaks, [rows.size]])
-        with open(self.path, "rb") as fh:
-            for a, b in zip(run_starts[:-1], run_starts[1:]):
-                offset = self.data_start + (int(rows[a]) - 1) * self.row_bytes
-                length = int(b - a) * self.row_bytes
-                fh.seek(offset)
-                chunk = fh.read(length)
-                if len(chunk) < length:
-                    raise FormatError("truncated payload")
-                self.payload_reads.append((offset, length))
-                raw[a:b] = np.frombuffer(chunk, dtype=dtype)
+        raw = self._gather(rows, dtype) if rows.size else np.empty(0, dtype)
         return {name: raw[name].astype(raw[name].dtype.newbyteorder("="))
                 for name in names}
+
+    def _gather(self, rows, dtype):
+        """The payload rows at ``rows`` as one structured array.
+
+        A single run comes back as a view of the read-only mapping, so the
+        caller copies out of it before returning.
+        """
+        if rows.min() < 1 or rows.max() > self.row_count:
+            raise BoundsError("row index out of range 1..%d" % self.row_count)
+        steps = np.diff(rows)
+        if np.any(steps <= 0):
+            raise DomainError("rows must be sorted and unique")
+        last = int(rows[-1])
+        end = self.data_start + last * self.row_bytes
+        with open(self.path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size < end:
+                raise FormatError("truncated payload")
+            mapped = mmap.mmap(fh.fileno(), end, access=mmap.ACCESS_READ)
+        payload = np.frombuffer(mapped, dtype=dtype, count=last,
+                                offset=self.data_start)
+        first = np.concatenate([[0], np.flatnonzero(steps > 1) + 1])
+        counts = np.diff(np.append(first, rows.size))
+        offsets = self.data_start + (rows[first] - 1) * self.row_bytes
+        self.payload_reads.extend(zip(offsets.tolist(),
+                                      (counts * self.row_bytes).tolist()))
+        if first.size == 1:
+            return payload[rows[0] - 1:last]
+        return payload[rows - 1]
 
     def read_all(self, columns=None):
         """Decode the whole table (still honouring column selection)."""

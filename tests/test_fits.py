@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
-from skypix import fits
+from skypix import cli, fits
 from skypix.errors import BoundsError, DomainError, FormatError, SchemaError
 
 
@@ -110,6 +112,85 @@ def test_empty_column_selection(small_map):
     src = fits.open_map(small_map)
     out = src.read_rows([1, 2], columns=[])
     assert out == {}
+
+
+@pytest.fixture(scope="module")
+def mixed_map(tmp_path_factory):
+    """64-row map with one column of each supported TFORM."""
+    path = tmp_path_factory.mktemp("mixed") / "mixed.fits"
+    rng = np.random.default_rng(3)
+    table = {"E": rng.standard_normal(64).astype(np.float32),
+             "J": rng.integers(-2 ** 31, 2 ** 31, 64).astype(np.int32),
+             "D": rng.standard_normal(64),
+             "I": rng.integers(-2 ** 15, 2 ** 15, 64).astype(np.int16)}
+    fits.write_map(path, table, nside=2, ordering="ring")
+    return path
+
+
+def test_empty_row_list_keeps_column_dtypes(mixed_map):
+    out = fits.open_map(mixed_map).read_rows([])
+    assert {name: arr.dtype for name, arr in out.items()} == {
+        "E": np.float32, "J": np.int32, "D": np.float64, "I": np.int16}
+    assert all(arr.size == 0 for arr in out.values())
+
+
+def _memmap_decode(src):
+    """Brute-force big-endian decode of the whole payload."""
+    dtype = np.dtype([(c.name, c.dtype) for c in src.columns])
+    return np.memmap(src.path, dtype=dtype, mode="r", offset=src.data_start,
+                     shape=(src.row_count,))
+
+
+def _runs(rows):
+    return 1 + int(np.count_nonzero(np.diff(rows) > 1)) if rows.size else 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(1, 64)),
+       st.lists(st.sampled_from(["E", "J", "D", "I"]), unique=True))
+def test_gather_matches_brute_force_decode(mixed_map, picked, names):
+    src = fits.open_map(mixed_map)
+    rows = np.array(sorted(picked), dtype=np.int64)
+    expect = _memmap_decode(src)
+    before = len(src.payload_reads)
+    out = src.read_rows(rows, names)
+    new = src.payload_reads[before:]
+    assert list(out) == names
+    for name in names:
+        assert_array_equal(out[name], expect[name][rows - 1])
+        assert out[name].dtype == expect[name].dtype.newbyteorder("=")
+        assert out[name].flags.writeable and out[name].flags.owndata
+    assert len(new) == _runs(rows)
+    assert sum(n for _, n in new) == rows.size * src.row_bytes
+
+
+@pytest.fixture
+def truncated_map(tmp_path, small_map):
+    """``small_map`` with its payload cut after row 5."""
+    src = fits.open_map(small_map)
+    path = tmp_path / "trunc.fits"
+    path.write_bytes(small_map.read_bytes()[:src.data_start
+                                           + 5 * src.row_bytes])
+    return path
+
+
+def test_truncated_payload(truncated_map):
+    src = fits.open_map(truncated_map)
+    assert_array_equal(src.read_rows([1, 2, 3])["I"], [1.0, 2.0, 3.0])
+    with pytest.raises(FormatError, match="truncated payload"):
+        src.read_rows([6])
+    with pytest.raises(FormatError, match="truncated payload"):
+        src.read_all()
+    with pytest.raises(FormatError, match="truncated payload"):
+        src.sample_rows(10, seed=0)
+
+
+def test_truncated_payload_cli_exit(truncated_map, tmp_path):
+    result = CliRunner().invoke(
+        cli.main, ["sample", str(truncated_map), "--size", "10",
+                   "-o", str(tmp_path / "x.csv")], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert "truncated payload" in result.output
 
 
 def test_sample_rows_deterministic(small_map):

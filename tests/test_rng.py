@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skypix.rng import SplitMix64, sample_without_replacement
 
@@ -67,3 +67,28 @@ def test_sample_property(n, seed):
     assert out.size == k
     assert len(set(out.tolist())) == k
     assert out.min() >= 1 and out.max() <= n
+
+
+def _scalar_sample(n, k, seed):
+    """The sampler drawn one step at a time through ``SplitMix64``."""
+    rng = SplitMix64(seed)
+    swapped = {}
+    picked = []
+    for i in range(k):
+        j = i + rng.next_below(n - i)
+        picked.append(swapped.get(j, j + 1))
+        swapped[j] = swapped.get(i, i + 1)
+    return sorted(picked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 2000), st.integers(1, 2 ** 63 - 1),
+                 st.sampled_from([12 * 4 ** 29, 2 ** 64 // 3 + 1])),
+       st.integers(0, 600), st.integers(0, 2 ** 64 - 1))
+@example(n=64, k=64, seed=5)
+@example(n=12 * 4 ** 29, k=600, seed=1)
+def test_bulk_draws_match_scalar_stream(n, k, seed):
+    # 12 * 4**29 rejects about 1 draw in 16 and 2**64 // 3 + 1 about 1 in 3
+    k = min(k, n)
+    assert (sample_without_replacement(n, k, seed).tolist()
+            == _scalar_sample(n, k, seed))
