@@ -51,6 +51,12 @@ def _json_out(payload, out):
         click.echo(text, nl=False)
 
 
+def _check_sample_size(sample, rows):
+    """A sample outside ``1..rows`` is a usage error (exit 2)."""
+    if sample is not None and not 0 < sample <= rows:
+        raise click.UsageError("sample size %d must be in 1..%d" % (sample, rows))
+
+
 def _load_frame(path, sample=None, seed=0, columns=None, region=None):
     """A frame from either a map file or a frame CSV, optionally sampled or
     cut to a window region (a map then reads only the rows inside it)."""
@@ -62,8 +68,10 @@ def _load_frame(path, sample=None, seed=0, columns=None, region=None):
                 raise SchemaError("missing columns %s" % missing)
         if region is not None:
             f = skyframe.extract_window(f, region)
+        _check_sample_size(sample, len(f))
     else:
         src = fitsio.open_map(path)
+        _check_sample_size(sample, src.row_count)
         if sample is not None:
             return skyframe.frame_from_map(src, sample_size=sample, seed=seed,
                                            columns=columns)

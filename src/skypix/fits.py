@@ -377,13 +377,16 @@ def write_map(path, table, nside=None, ordering=None):
 
     dtype = np.dtype([(name, ">" + np.dtype(arr.dtype).str[1:])
                       for name, arr in zip(names, arrays)])
-    rows = np.empty(length, dtype=dtype)
-    for name, arr in zip(names, arrays):
-        rows[name] = arr
-
-    blob = _pad_block(header.encode("ascii"))
-    blob += _pad_block("".join(cards).encode("ascii"))
-    blob += _pad_block(rows.tobytes())
     with open(path, "wb") as fh:
-        fh.write(blob)
-    return len(blob)
+        fh.write(_pad_block(header.encode("ascii")))
+        fh.write(_pad_block("".join(cards).encode("ascii")))
+        # a reused buffer: a payload-sized array, once freed, stays on the heap
+        step = 1 << 16
+        rows = np.empty(min(length, step), dtype=dtype)
+        for lo in range(0, length, step):
+            part = rows[:min(step, length - lo)]
+            for name, arr in zip(names, arrays):
+                part[name] = arr[lo:lo + step]
+            fh.write(memoryview(part))
+        fh.write(b"\x00" * ((-length * dtype.itemsize) % BLOCK))
+        return fh.tell()

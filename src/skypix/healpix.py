@@ -23,6 +23,10 @@ along the face edges):
   ``fodd`` is 1/2 when ``i - nside`` is even and 1 when odd (longitudes
   canonical in ``[0, 2*pi)``, indices in longitude-sorted order);
 * south cap mirrors the north cap.
+
+Array entry points run every zone's formula on blocks of 2**15 keys and keep
+one result per key with a select; divisions and remainders by powers of two
+are shifts and masks, and bit interleaving reads 16-bit lookup tables.
 """
 
 import math
@@ -37,6 +41,9 @@ NESTED = "nested"
 SCHEMES = (RING, NESTED)
 
 MAX_LEVEL = 29
+
+# keys per block of the array kernels: a block's temporaries stay in cache
+_BLOCK = 1 << 15
 
 # Ring offset (jrll) and longitude offset (jpll) of each base face; jpll
 # doubles as the face-center abscissa in the projection plane, in units of
@@ -150,11 +157,9 @@ def pixel_area(nside):
 
 
 # ---------------------------------------------------------------------------
-# bit interleaving (x bits on even positions, y on odd)
+# bit interleaving (x bits on even positions, y on odd) of 16-bit words
 
 def _spread_bits(v):
-    v = v & np.int64(0xFFFFFFFF)
-    v = (v | (v << 16)) & np.int64(0x0000FFFF0000FFFF)
     v = (v | (v << 8)) & np.int64(0x00FF00FF00FF00FF)
     v = (v | (v << 4)) & np.int64(0x0F0F0F0F0F0F0F0F)
     v = (v | (v << 2)) & np.int64(0x3333333333333333)
@@ -167,9 +172,21 @@ def _compact_bits(v):
     v = (v | (v >> 1)) & np.int64(0x3333333333333333)
     v = (v | (v >> 2)) & np.int64(0x0F0F0F0F0F0F0F0F)
     v = (v | (v >> 4)) & np.int64(0x00FF00FF00FF00FF)
-    v = (v | (v >> 8)) & np.int64(0x0000FFFF0000FFFF)
-    v = (v | (v >> 16)) & np.int64(0x00000000FFFFFFFF)
     return v
+
+
+# 16-bit lookup tables: _SPREAD16 puts a 16-bit word on the even bits of a
+# 32-bit word; _COMPACT16 takes 16 interleaved bits to their 8 even bits in
+# the low half and their 8 odd bits in the high half of a 64-bit word
+_WORDS16 = np.arange(1 << 16, dtype=np.int64)
+_SPREAD16 = _spread_bits(_WORDS16)
+_COMPACT16 = _compact_bits(_WORDS16) | (_compact_bits(_WORDS16 >> 1) << 32)
+
+
+def _select(cond, a, b):
+    """``np.where(cond, a, b)`` for boolean ``cond`` and integers, blended:
+    where branches per key, which costs twice as much on unsorted keys."""
+    return b + cond * (a - b)
 
 
 def _isqrt(v):
@@ -185,14 +202,20 @@ def _isqrt(v):
 
 def _nest_decompose(nside, p0):
     two_j = 2 * (nside.bit_length() - 1)
-    f = p0 >> two_j
     within = p0 & np.int64(nside * nside - 1)
-    return f, _compact_bits(within), _compact_bits(within >> 1)
+    # 16 bits of p at bit k hold 8 bits of x and of y at bit k/2
+    xy = _COMPACT16[within & 0xFFFF]
+    for k in range(16, two_j, 16):
+        xy |= _COMPACT16[(within >> k) & 0xFFFF] << (k >> 1)
+    return p0 >> two_j, xy & 0xFFFFFFFF, xy >> 32
 
 
 def _nest_compose(nside, f, x, y):
     two_j = 2 * (nside.bit_length() - 1)
-    return (f.astype(np.int64) << two_j) | _spread_bits(x) | (_spread_bits(y) << 1)
+    out = (f << two_j) | _SPREAD16[x & 0xFFFF] | (_SPREAD16[y & 0xFFFF] << 1)
+    if nside > 1 << 16:
+        out |= (_SPREAD16[x >> 16] << 32) | (_SPREAD16[y >> 16] << 33)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,135 +224,130 @@ def _nest_compose(nside, f, x, y):
 
 def _fxy_to_ringpos(nside, f, x, y):
     jr = _JRLL[f] * nside - x - y - 1
-    nr = np.where(jr < nside, jr, np.where(jr > 3 * nside, 4 * nside - jr, nside))
-    kshift = np.where((jr >= nside) & (jr <= 3 * nside), (jr - nside) & 1, 0)
+    nr = _select(jr < nside, jr, _select(jr > 3 * nside, 4 * nside - jr, nside))
+    kshift = _select((jr >= nside) & (jr <= 3 * nside), (jr - nside) & 1, 0)
     jp = (_JPLL[f] * nr + x - y + 1 + kshift) >> 1
-    jp = np.where(jp > 4 * nr, jp - 4 * nr, jp)
-    jp = np.where(jp < 1, jp + 4 * nr, jp)
+    jp = _select(jp > 4 * nr, jp - 4 * nr, jp)
+    jp = _select(jp < 1, jp + 4 * nr, jp)
     return jr, jp, nr, kshift
 
 
 def _ringpos_to_fxy(nside, jr, jp, nr, kshift):
-    north = jr < nside
-    south = jr > 3 * nside
-    eq = ~(north | south)
-
-    f = np.empty_like(jr)
-    f[north] = (jp[north] - 1) // nr[north]
-    f[south] = 8 + (jp[south] - 1) // nr[south]
-    if np.any(eq):
-        ire = jr[eq] - nside + 1
-        irm = 2 * nside + 2 - ire
-        ifm = (jp[eq] - ire // 2 + nside - 1) // nside
-        ifp = (jp[eq] - irm // 2 + nside - 1) // nside
-        feq = np.where(ifp == ifm, ifp | 4, np.where(ifp < ifm, ifp, ifm + 8))
-        f[eq] = feq
+    j = nside.bit_length() - 1
+    fcap = (jp - 1) // nr
+    ire = jr - nside + 1
+    irm = 2 * nside + 2 - ire
+    ifm = (jp - (ire >> 1) + nside - 1) >> j
+    ifp = (jp - (irm >> 1) + nside - 1) >> j
+    feq = _select(ifp == ifm, ifp | 4, _select(ifp < ifm, ifp, ifm + 8))
+    f = _select(jr < nside, fcap, _select(jr > 3 * nside, fcap + 8, feq))
 
     irt = jr - _JRLL[f] * nside + 1
     ipt = 2 * jp - _JPLL[f] * nr - kshift - 1
-    ipt = np.where(ipt >= 2 * nside, ipt - 8 * nside, ipt)
-    x = (ipt - irt) >> 1
-    y = (-ipt - irt) >> 1
-    return f, x, y
+    ipt = _select(ipt >= 2 * nside, ipt - 8 * nside, ipt)
+    return f, (ipt - irt) >> 1, (-ipt - irt) >> 1
 
 
 def _ring_decompose(nside, p0):
+    j = nside.bit_length() - 1
     ncap = 2 * nside * (nside - 1)
     npx = 12 * nside * nside
     north = p0 < ncap
     south = p0 >= npx - ncap
-    eq = ~(north | south)
-
-    jr = np.empty_like(p0)
-    jp = np.empty_like(p0)
-    nr = np.empty_like(p0)
-    kshift = np.zeros_like(p0)
-
-    if np.any(north):
-        pn = p0[north]
-        i = (1 + _isqrt(1 + 2 * pn)) >> 1
-        jr[north] = i
-        nr[north] = i
-        jp[north] = pn - 2 * i * (i - 1) + 1
-    if np.any(eq):
-        ip = p0[eq] - ncap
-        i = ip // (4 * nside) + nside
-        jr[eq] = i
-        nr[eq] = nside
-        jp[eq] = ip % (4 * nside) + 1
-        kshift[eq] = (i - nside) & 1
-    if np.any(south):
-        ip = npx - p0[south]
-        i = (1 + _isqrt(2 * ip - 1)) >> 1
-        jr[south] = 4 * nside - i
-        nr[south] = i
-        jp[south] = 4 * i + 1 - (ip - 2 * i * (i - 1))
+    # cap rings; the south cap mirrors pixel p onto npx - 1 - p of the north
+    pc = np.minimum(p0, npx - 1 - p0)
+    i = (1 + _isqrt(1 + 2 * pc)) >> 1
+    jpc = pc - 2 * i * (i - 1) + 1
+    ip = p0 - ncap
+    ieq = (ip >> (j + 2)) + nside
+    cap = north | south
+    jr = _select(north, i, _select(south, 4 * nside - i, ieq))
+    nr = _select(cap, i, nside)
+    jp = _select(north, jpc,
+                 _select(south, 4 * i + 1 - jpc, (ip & (4 * nside - 1)) + 1))
+    kshift = _select(cap, 0, (ieq - nside) & 1)
     return jr, jp, nr, kshift
 
 
 def _ring_compose(nside, jr, jp, nr, kshift):
     ncap = 2 * nside * (nside - 1)
     npx = 12 * nside * nside
-    north = jr < nside
-    south = jr > 3 * nside
-    out = np.empty_like(jr)
-    out[north] = 2 * nr[north] * (nr[north] - 1) + jp[north] - 1
-    eq = ~(north | south)
-    out[eq] = ncap + (jr[eq] - nside) * 4 * nside + jp[eq] - 1
-    out[south] = npx - 2 * nr[south] * (nr[south] + 1) + jp[south] - 1
-    return out
+    first = _select(jr < nside, 2 * nr * (nr - 1),
+                    _select(jr > 3 * nside, npx - 2 * nr * (nr + 1),
+                            ncap + (jr - nside) * (4 * nside)))
+    return first + jp - 1
 
 
 def _ringpos_to_zphi(nside, jr, jp, nr, kshift):
-    north = jr < nside
-    south = jr > 3 * nside
-    z = np.empty(jr.shape, dtype=np.float64)
     cap = nr.astype(np.float64) ** 2 / (3.0 * nside * nside)
-    z[north] = 1.0 - cap[north]
-    z[south] = cap[south] - 1.0
-    eq = ~(north | south)
-    z[eq] = (2.0 * nside - jr[eq]) * 2.0 / (3.0 * nside)
+    z = np.where(jr < nside, 1.0 - cap,
+                 np.where(jr > 3 * nside, cap - 1.0,
+                          (2.0 * nside - jr) * 2.0 / (3.0 * nside)))
     phi = (jp - 0.5 * (1 + kshift)) * (np.pi / 2) / nr
     return z, phi
 
 
 # ---------------------------------------------------------------------------
-# index -> center
+# evaluation in blocks
 
-def _as_index_array(nside, ipix):
+def _by_block(kernel, shape, inputs, trailing=((),), dtype=np.int64):
+    """``kernel`` over blocks of ``_BLOCK`` elements of the flat ``inputs``,
+    returning one block of each output; output ``i`` has shape ``shape +
+    trailing[i]``.  Temporaries are a block long, so they stay in cache."""
+    outs = [np.empty((math.prod(shape),) + t, dtype=dtype) for t in trailing]
+    for start in range(0, len(outs[0]), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        for out, part in zip(outs, kernel(*[a[block] for a in inputs])):
+            out[block] = part
+    return [out.reshape(shape + t) for out, t in zip(outs, trailing)]
+
+
+def _index_map(nside, ipix, kernel, trailing=((),), dtype=np.int64):
+    """:func:`_by_block` over the 1-based indices ``ipix``, checked in range."""
     arr = np.asarray(ipix, dtype=np.int64)
     if arr.size and (arr.min() < 1 or arr.max() > 12 * nside * nside):
         raise AddressingError("pixel index out of range 1..%d" % (12 * nside * nside))
-    return arr
+    return _by_block(kernel, arr.shape, [arr.reshape(-1)], trailing, dtype)
+
+
+# ---------------------------------------------------------------------------
+# index -> center
+
+def _center_map(nside, ipix, scheme, kernel, trailing):
+    """``kernel(z, phi)`` at the centers of ``ipix``, as in :func:`_by_block`."""
+    nside = _check_nside(nside)
+    _check_scheme(scheme)
+
+    def centers(keys):
+        if scheme == RING:
+            pos = _ring_decompose(nside, keys - 1)
+        else:
+            pos = _fxy_to_ringpos(nside, *_nest_decompose(nside, keys - 1))
+        return kernel(*_ringpos_to_zphi(nside, *pos))
+    return _index_map(nside, ipix, centers, trailing, np.float64)
 
 
 def pix2zphi(nside, ipix, scheme=RING):
     """Centers of 1-based pixels as ``(z, phi)`` with ``z = cos(theta)``."""
-    nside = _check_nside(nside)
-    _check_scheme(scheme)
-    arr = np.atleast_1d(_as_index_array(nside, ipix)) - 1
-    if scheme == RING:
-        pos = _ring_decompose(nside, arr)
-    else:
-        f, x, y = _nest_decompose(nside, arr)
-        pos = _fxy_to_ringpos(nside, f, x, y)
-    z, phi = _ringpos_to_zphi(nside, *pos)
-    if np.isscalar(ipix) or np.ndim(ipix) == 0:
-        return z[0], phi[0]
-    return z, phi
+    z, phi = _center_map(nside, ipix, scheme, lambda z, phi: (z, phi), [(), ()])
+    return z[()], phi[()]       # numpy scalars for a 0-d index
 
 
 def pix2ang(nside, ipix, scheme=RING):
     """Pixel centers as colatitude/longitude ``(theta, phi)`` in radians."""
-    z, phi = pix2zphi(nside, ipix, scheme)
-    return np.arccos(z), phi
+    theta, phi = _center_map(nside, ipix, scheme,
+                             lambda z, phi: (np.arccos(z), phi), [(), ()])
+    return theta[()], phi[()]
+
+
+def _unit_vectors(z, phi):
+    st = np.sqrt(np.maximum(0.0, 1.0 - z ** 2))
+    return [np.stack([st * np.cos(phi), st * np.sin(phi), z], axis=-1)]
 
 
 def pix2vec(nside, ipix, scheme=RING):
     """Pixel centers as unit vectors, shape ``(..., 3)``."""
-    z, phi = pix2zphi(nside, ipix, scheme)
-    st = np.sqrt(np.maximum(0.0, 1.0 - np.asarray(z) ** 2))
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.asarray(z)], axis=-1)
+    return _center_map(nside, ipix, scheme, _unit_vectors, [(3,)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +368,8 @@ def ang2pix(nside, theta, phi, scheme=RING):
     nside = _check_nside(nside)
     _check_scheme(scheme)
     if np.ndim(theta) == 0 and np.ndim(phi) == 0:
-        # one direction: the same zone arithmetic on numpy scalars, without
-        # the masking, costs a quarter of the 1-element array path
+        # one direction: the same zone arithmetic on numpy scalars, for its
+        # own zone only, costs a quarter of the 1-element array path
         theta, phi = np.float64(theta), np.float64(phi)
         if not (np.isfinite(theta) and np.isfinite(phi)):
             raise DomainError("non-finite direction")
@@ -367,17 +385,16 @@ def ang2pix(nside, theta, phi, scheme=RING):
         raise DomainError("non-finite direction")
     if np.any(theta_a < 0.0) or np.any(theta_a > np.pi):
         raise DomainError("theta must be in [0, pi]")
-    theta_a, phi_a = np.broadcast_arrays(theta_a, phi_a)
-    z, tt, rtz = _zphi_quadrants(theta_a, phi_a)
-    polar = np.abs(z) > 2.0 / 3.0
+    shape = np.broadcast_shapes(theta_a.shape, phi_a.shape)
 
-    out = np.empty(z.shape, dtype=np.int64)
-    if np.any(~polar):
-        out[~polar] = _eq_zone_pix(nside, tt[~polar], z[~polar], scheme)
-    if np.any(polar):
-        out[polar] = _polar_zone_pix(nside, tt[polar], z[polar], rtz[polar], scheme)
-    out += 1
-    return out
+    def pixels(theta, phi):
+        z, tt, rtz = _zphi_quadrants(theta, phi)
+        return [_select(np.abs(z) > 2.0 / 3.0,
+                        _polar_zone_pix(nside, tt, z, rtz, scheme),
+                        _eq_zone_pix(nside, tt, z, scheme)) + 1]
+    # flat views, copied only where an input broadcasts
+    return _by_block(pixels, shape, [np.broadcast_to(a, shape).reshape(-1)
+                                     for a in (theta_a, phi_a)])[0]
 
 
 def _eq_zone_pix(nside, tt, z, scheme):
@@ -388,12 +405,12 @@ def _eq_zone_pix(nside, tt, z, scheme):
     if scheme == RING:
         ir = nside + 1 + jp - jm          # ring within the belt, 1..2n+1
         kshift = 1 - (ir & 1)
-        ip = ((jp + jm - nside + kshift + 1) >> 1) % (4 * nside)
+        ip = ((jp + jm - nside + kshift + 1) >> 1) & (4 * nside - 1)
         return 2 * nside * (nside - 1) + (ir - 1) * 4 * nside + ip
     factor = nside.bit_length() - 1
     ifp = jp >> factor
     ifm = jm >> factor
-    f = np.where(ifp == ifm, ifp | 4, np.where(ifp < ifm, ifp, ifm + 8))
+    f = _select(ifp == ifm, ifp | 4, _select(ifp < ifm, ifp, ifm + 8))
     x = jm & (nside - 1)
     y = (nside - 1) - (jp & (nside - 1))
     return _nest_compose(nside, f, x, y)
@@ -409,12 +426,12 @@ def _polar_zone_pix(nside, tt, z, rtz, scheme):
         ir = jp + jm + 1                               # ring from nearest pole
         ip = np.floor(tt * ir).astype(np.int64) % (4 * ir)
         npx = 12 * nside * nside
-        return np.where(z > 0, 2 * ir * (ir - 1) + ip, npx - 2 * ir * (ir + 1) + ip)
+        return _select(z > 0, 2 * ir * (ir - 1) + ip, npx - 2 * ir * (ir + 1) + ip)
     jp = np.minimum(jp, nside - 1)
     jm = np.minimum(jm, nside - 1)
-    f = np.where(z >= 0, ntt, ntt + 8)
-    x = np.where(z >= 0, nside - 1 - jm, jp)
-    y = np.where(z >= 0, nside - 1 - jp, jm)
+    f = _select(z >= 0, ntt, ntt + 8)
+    x = _select(z >= 0, nside - 1 - jm, jp)
+    y = _select(z >= 0, nside - 1 - jp, jm)
     return _nest_compose(nside, f, x, y)
 
 
@@ -432,20 +449,17 @@ def vec2pix(nside, xyz, scheme=RING):
 def nest2ring(nside, ipix):
     """Nested index -> ring index addressing the same pixel (1-based)."""
     nside = _check_nside(nside)
-    arr = np.atleast_1d(_as_index_array(nside, ipix)) - 1
-    f, x, y = _nest_decompose(nside, arr)
-    out = _ring_compose(nside, *_fxy_to_ringpos(nside, f, x, y)) + 1
-    return int(out[0]) if np.ndim(ipix) == 0 else out
+    out, = _index_map(nside, ipix, lambda keys: [_ring_compose(
+        nside, *_fxy_to_ringpos(nside, *_nest_decompose(nside, keys - 1))) + 1])
+    return int(out) if out.ndim == 0 else out
 
 
 def ring2nest(nside, ipix):
     """Ring index -> nested index addressing the same pixel (1-based)."""
     nside = _check_nside(nside)
-    arr = np.atleast_1d(_as_index_array(nside, ipix)) - 1
-    jr, jp, nr, kshift = _ring_decompose(nside, arr)
-    f, x, y = _ringpos_to_fxy(nside, jr, jp, nr, kshift)
-    out = _nest_compose(nside, f, x, y) + 1
-    return int(out[0]) if np.ndim(ipix) == 0 else out
+    out, = _index_map(nside, ipix, lambda keys: [_nest_compose(
+        nside, *_ringpos_to_fxy(nside, *_ring_decompose(nside, keys - 1))) + 1])
+    return int(out) if out.ndim == 0 else out
 
 
 def convert_ordering(pixel, target):
@@ -518,16 +532,9 @@ def pixel_window(j1, j2, pix_j1):
 # ---------------------------------------------------------------------------
 # neighbours
 
-def neighbours_index(nside, ipix):
-    """Adjacent nested pixels of 1-based ``ipix``; shape ``(..., 8)``, -1 pads.
-
-    Steps are returned in SW, W, NW, N, NE, E, SE, S order; entries are -1
-    where the diagonal neighbour is absent (three-face corners).
-    """
-    nside = _check_nside(nside)
-    arr = np.atleast_1d(_as_index_array(nside, ipix)) - 1
-    f, x, y = _nest_decompose(nside, arr)
-    out = np.empty(arr.shape + (8,), dtype=np.int64)
+def _neighbours(nside, keys):
+    f, x, y = _nest_decompose(nside, keys - 1)
+    out = np.empty(keys.shape + (8,), dtype=np.int64)
     for m in range(8):
         xs = x + _NB_XSTEP[m]
         ys = y + _NB_YSTEP[m]
@@ -544,8 +551,19 @@ def neighbours_index(nside, ipix):
         xf = np.where(swap, ys2, xs2)
         yf = np.where(swap, xs2, ys2)
         pix = _nest_compose(nside, np.maximum(f2, 0), xf, yf) + 1
-        out[..., m] = np.where(f2 < 0, -1, pix)
-    return out[0] if np.ndim(ipix) == 0 else out
+        out[:, m] = np.where(f2 < 0, -1, pix)
+    return [out]
+
+
+def neighbours_index(nside, ipix):
+    """Adjacent nested pixels of 1-based ``ipix``; shape ``(..., 8)``, -1 pads.
+
+    Steps are returned in SW, W, NW, N, NE, E, SE, S order; entries are -1
+    where the diagonal neighbour is absent (three-face corners).
+    """
+    nside = _check_nside(nside)
+    return _index_map(nside, ipix, lambda keys: _neighbours(nside, keys),
+                      [(8,)])[0]
 
 
 def neighbours(pixel):
@@ -603,20 +621,13 @@ def _proj_to_zphi(px, py):
     """
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
-    z = np.empty(px.shape)
-    phi = np.empty(px.shape)
-    eq = np.abs(py) <= 0.25 * np.pi
-    z[eq] = py[eq] * 8.0 / (3.0 * np.pi)
-    phi[eq] = px[eq]
-    pol = ~eq
-    if np.any(pol):
-        ya = np.abs(py[pol])
-        xt = px[pol] % (0.5 * np.pi)
-        denom = ya - 0.5 * np.pi
-        shear = np.where(denom != 0.0, (ya - 0.25 * np.pi) / np.where(denom == 0, 1, denom), 0.0)
-        phi[pol] = px[pol] - shear * (xt - 0.25 * np.pi)
-        zz = 1.0 - (2.0 - 4.0 * ya / np.pi) ** 2 / 3.0
-        z[pol] = np.where(py[pol] > 0, zz, -zz)
+    ya = np.abs(py)
+    denom = ya - 0.5 * np.pi
+    shear = np.where(denom != 0.0, (ya - 0.25 * np.pi) / np.where(denom == 0, 1, denom), 0.0)
+    zz = 1.0 - (2.0 - 4.0 * ya / np.pi) ** 2 / 3.0
+    eq = ya <= 0.25 * np.pi
+    z = np.where(eq, py * 8.0 / (3.0 * np.pi), np.where(py > 0, zz, -zz))
+    phi = np.where(eq, px, px - shear * (px % (0.5 * np.pi) - 0.25 * np.pi))
     return z, phi % (2 * np.pi)
 
 
@@ -649,6 +660,4 @@ def pixel_boundary(pixel, samples_per_edge=8):
         b = verts[(k + 1) % 4]
         pts.append(a[None, :] * (1 - t[:, None]) + b[None, :] * t[:, None])
     pts = np.concatenate(pts)
-    z, phi = _proj_to_zphi(pts[:, 0], pts[:, 1])
-    st = np.sqrt(np.maximum(0.0, 1.0 - z ** 2))
-    return np.stack([st * np.cos(phi), st * np.sin(phi), z], axis=-1)
+    return _unit_vectors(*_proj_to_zphi(pts[:, 0], pts[:, 1]))[0]

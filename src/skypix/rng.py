@@ -21,32 +21,9 @@ host platform and of any library RNG, so the generator is pinned down here:
 
 import numpy as np
 
+from .errors import DomainError
+
 _MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-
-
-class SplitMix64:
-    """splitmix64 stream over python ints (exact 64-bit arithmetic)."""
-
-    def __init__(self, seed):
-        self._s = int(seed) & _MASK64
-
-    def next_u64(self):
-        self._s = (self._s + _GAMMA) & _MASK64
-        z = self._s
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_below(self, m):
-        """Unbiased draw from ``0..m-1`` by rejection."""
-        if m <= 0:
-            raise ValueError("bound must be positive")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % m)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % m
 
 
 def _stream(seed, start, count):
@@ -54,15 +31,15 @@ def _stream(seed, start, count):
 
     numpy's uint64 arithmetic wraps mod 2^64, which is the stream's own.
     """
-    z = np.uint64(int(seed) & _MASK64) + np.arange(
-        start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    steps = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.uint64(int(seed) & _MASK64) + steps * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
 
 
 def _bounded_draws(n, k, seed):
-    """``SplitMix64(seed).next_below(n - i)`` for ``i = 0..k-1``, vectorised.
+    """Step ``i``'s draw from ``0..n-i-1`` for ``i = 0..k-1``, vectorised.
 
     Stream word ``p`` serves step ``p - R(p)``, where ``R(p)`` counts the
     rejected words before it.  Rejection depends on the step's bound, so
@@ -101,11 +78,14 @@ def sample_without_replacement(n, k, seed):
     """Sorted simple random sample of ``k`` distinct integers from ``1..n``.
 
     Partial Fisher-Yates over a virtual array; memory is O(k).  The draws
-    come from the splitmix64 stream in bulk and equal those of
-    ``SplitMix64.next_below`` one step at a time.
+    come from the splitmix64 stream in bulk and equal those of the scalar
+    oracle in ``tests/test_rng.py``, one step at a time.  Indices are
+    int64, so ``n`` must be below 2**63.
     """
-    if k < 0 or k > n:
-        raise ValueError("sample size must be in 0..n")
+    if n >= 2 ** 63:
+        raise DomainError("population size %d must be below 2**63" % n)
+    if not 0 <= k <= n:
+        raise DomainError("sample size %d must be in 0..%d" % (k, n))
     swapped = {}
     picked = []
     for i, d in enumerate(_bounded_draws(n, k, seed).tolist()):

@@ -257,6 +257,19 @@ def test_plot_deterministic(runner, small_map, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("size", [500, 0])
+def test_sample_outside_the_map_exits_2(runner, tmp_path, size):
+    path = tmp_path / "m192.fits"
+    fits.write_map(path, {"I": np.zeros(192, dtype=np.float32)}, nside=4,
+                   ordering="nested")
+    out = tmp_path / "s.csv"
+    result = invoke(runner, ["sample", str(path), "--size", str(size),
+                             "-o", str(out)])
+    assert result.exit_code == 2
+    assert "sample size %d must be in 1..192" % size in result.output
+    assert not out.exists()
+
+
 def test_usage_error_exits_2(runner):
     result = runner.invoke(cli.main, ["cov"])
     assert result.exit_code == 2

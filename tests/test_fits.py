@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -237,6 +239,32 @@ def test_file_size_block_arithmetic(tmp_path):
                                         // fits.BLOCK) * fits.BLOCK
     assert written == expect == path.stat().st_size
     assert path.stat().st_size % fits.BLOCK == 0
+
+
+def test_written_bytes_are_pinned(tmp_path):
+    # sha256 of the file that the write path assembling the whole file in
+    # memory (header, cards, rows.tobytes(), zero padding) wrote for this
+    # table; writing straight to the file keeps every byte
+    path = tmp_path / "pinned.fits"
+    table = {"I": np.array([1.5, -2.25, 3e30], dtype=np.float32),
+             "Q": np.array([7, -8, 2 ** 31 - 1], dtype=np.int32),
+             "U": np.array([np.pi, -0.0, 1e-300]),
+             "M": np.array([1, -1, 32767], dtype=np.int16)}
+    assert fits.write_map(path, table, nside=1, ordering="ring") == 8640
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "69c757d8cb5a17a15021fb0a360edf05cb7e90acc9efc597931e9e882f18d127")
+
+
+@pytest.mark.parametrize("rows", [0, 1, (1 << 16) - 1, 1 << 16, 2 * (1 << 16) + 3])
+def test_write_round_trips_across_write_buffers(tmp_path, rows):
+    path = tmp_path / "rows.fits"
+    table = {"I": np.arange(rows, dtype=np.float32) - 0.5,
+             "M": (np.arange(rows) % 30000).astype(np.int16)}
+    written = fits.write_map(path, table, nside=1)
+    assert written == path.stat().st_size and written % fits.BLOCK == 0
+    got = fits.open_map(path).read_all()
+    assert_array_equal(got["I"], table["I"])
+    assert_array_equal(got["M"], table["M"])
 
 
 def test_write_rejects_unsupported_dtype(tmp_path):

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 import skypix as sp
 from skypix.errors import AddressingError, DomainError
 from skypix.healpix import (
-    _JPLL, _nest_decompose, neighbours_index, pixel_boundary,
+    _BLOCK, _JPLL, MAX_LEVEL, _nest_decompose, neighbours_index,
+    pixel_boundary,
 )
 
 
@@ -108,6 +109,48 @@ def test_ordering_bijection_round_trip(nside):
     r = sp.nest2ring(nside, idx)
     assert len(np.unique(r)) == idx.size
     assert np.array_equal(sp.ring2nest(nside, r), idx)
+
+
+_ORACLE_JRLL = (2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4)
+_ORACLE_JPLL = (1, 3, 5, 7, 0, 2, 4, 6, 1, 3, 5, 7)
+
+
+def _oracle_nest2ring(nside, q):
+    """1-based nested -> ring index over python ints, from the face layout
+    of Gorski et al. (2005): pixel (x, y) of face f lies on ring
+    jrll(f)*nside - x - y - 1 from the north pole, at the longitude index
+    set by jpll(f); the ring's first index follows from the rings above."""
+    j = nside.bit_length() - 1
+    f, within = divmod(q - 1, nside * nside)
+    x = sum(((within >> (2 * b)) & 1) << b for b in range(j))
+    y = sum(((within >> (2 * b + 1)) & 1) << b for b in range(j))
+    jr = _ORACLE_JRLL[f] * nside - x - y - 1
+    if jr < nside:                      # north cap: 4*jr pixels a ring
+        nr, kshift, first = jr, 0, 2 * jr * (jr - 1)
+    elif jr > 3 * nside:                # south cap mirrors the north
+        nr, kshift = 4 * nside - jr, 0
+        first = 12 * nside * nside - 2 * nr * (nr + 1)
+    else:                               # belt: 4*nside pixels a ring
+        nr, kshift = nside, (jr - nside) % 2
+        first = 2 * nside * (nside - 1) + (jr - nside) * 4 * nside
+    jp = (_ORACLE_JPLL[f] * nr + x - y + 1 + kshift) // 2
+    return first + (jp - 1) % (4 * nr) + 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.integers(0, MAX_LEVEL))
+def test_ordering_conversion_matches_int_oracle(data, level):
+    # both directions, levels 0-29: the oracle is a bijection, so
+    # oracle(ring2nest(r)) == r pins ring2nest(r) to the one right answer
+    nside = 1 << level
+    keys = data.draw(st.lists(st.integers(1, sp.npix(nside)), min_size=1,
+                              max_size=8))
+    want = [_oracle_nest2ring(nside, q) for q in keys]
+    assert sp.nest2ring(nside, np.array(keys)).tolist() == want
+    assert sp.nest2ring(nside, keys[0]) == want[0]
+    back = sp.ring2nest(nside, np.array(keys))
+    assert [_oracle_nest2ring(nside, q) for q in back.tolist()] == keys
+    assert sp.ring2nest(nside, keys[0]) == back[0]
 
 
 @pytest.mark.parametrize("nside", [1, 4, 32])
@@ -377,3 +420,84 @@ def test_ang2pix_scalar_matches_array(level, scheme, theta, phi):
     xyz /= np.linalg.norm(xyz)
     if scheme == sp.NESTED:
         assert sp.nest_search(nside, xyz) == sp.nest_search(nside, xyz[None])[0]
+
+
+# ---------------------------------------------------------------------------
+# array entry points evaluate blocks of _BLOCK keys
+
+_EDGE_NSIDES = [1024, 1 << 29]
+_INDEX_FUNCS = {
+    "nest2ring": sp.nest2ring,
+    "ring2nest": sp.ring2nest,
+    "neighbours_index": neighbours_index,
+    "pix2zphi ring": lambda n, k: np.stack(sp.pix2zphi(n, k, sp.RING), -1),
+    "pix2ang nested": lambda n, k: np.stack(sp.pix2ang(n, k, sp.NESTED), -1),
+    "pix2vec ring": lambda n, k: sp.pix2vec(n, k, sp.RING),
+    "pix2vec nested": lambda n, k: sp.pix2vec(n, k, sp.NESTED),
+}
+
+
+def _edge_positions(size, rng):
+    """Positions on both sides of every block edge, plus a seeded few."""
+    edges = np.arange(0, size + _BLOCK, _BLOCK)
+    near = (edges[:, None] + np.arange(-2, 2)).ravel()
+    picked = np.concatenate([near, rng.integers(0, size, 20), [size - 1]])
+    return np.unique(picked[(picked >= 0) & (picked < size)])
+
+
+@pytest.mark.parametrize("nside", _EDGE_NSIDES)
+@pytest.mark.parametrize("name", sorted(_INDEX_FUNCS))
+def test_index_functions_equal_one_key_at_a_time(name, nside):
+    func = _INDEX_FUNCS[name]
+    rng = np.random.default_rng(nside % 97)
+    for size in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+        keys = rng.integers(1, sp.npix(nside) + 1, size)
+        got = func(nside, keys)
+        assert got.shape[0] == size
+        for i in _edge_positions(size, rng):
+            one = np.asarray(func(nside, keys[i]))
+            assert one.dtype == got.dtype and one.shape == got.shape[1:]
+            assert one.tobytes() == got[i].tobytes(), (size, i)
+    keys = rng.integers(1, sp.npix(nside) + 1, (3, 5))
+    got = func(nside, keys)
+    assert got.shape[:2] == (3, 5)
+    assert got.tobytes() == func(nside, keys.ravel()).tobytes()
+    empty = func(nside, np.empty(0, dtype=np.int64))
+    assert empty.shape == (0,) + got.shape[2:] and empty.dtype == got.dtype
+
+
+def test_zero_d_indices_keep_scalar_results():
+    assert type(sp.nest2ring(1024, 77)) is int
+    assert type(sp.ring2nest(1024, np.int64(77))) is int
+    z, phi = sp.pix2zphi(1024, 77)
+    theta, phi2 = sp.pix2ang(1024, np.array(77), sp.NESTED)
+    assert all(type(v) is np.float64 for v in (z, phi, theta, phi2))
+    assert sp.pix2vec(1024, 77).shape == (3,)
+    assert neighbours_index(1024, 77).shape == (8,)
+
+
+@pytest.mark.parametrize("nside", _EDGE_NSIDES)
+@pytest.mark.parametrize("scheme", [sp.RING, sp.NESTED])
+def test_ang2pix_equals_one_direction_at_a_time(nside, scheme):
+    rng = np.random.default_rng(7)
+    for size in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+        theta = np.arccos(rng.uniform(-1.0, 1.0, size))
+        phi = rng.uniform(-7.0, 7.0, size)
+        got = sp.ang2pix(nside, theta, phi, scheme)
+        assert got.shape == (size,) and got.dtype == np.int64
+        for i in _edge_positions(size, rng):
+            assert sp.ang2pix(nside, theta[i], phi[i], scheme) == got[i]
+            assert sp.ang2pix(nside, theta[i:i + 1], phi[i:i + 1],
+                              scheme).tolist() == [got[i]]
+    # theta (n, 1) against phi (m,) broadcasts to (n, m) over several blocks
+    theta = np.arccos(rng.uniform(-1.0, 1.0, (190, 1)))
+    phi = rng.uniform(0.0, 2 * np.pi, 180)
+    got = sp.ang2pix(nside, theta, phi, scheme)
+    assert got.shape == (190, 180) and got.size > _BLOCK
+    full_t, full_p = np.broadcast_arrays(theta, phi)
+    assert np.array_equal(got.ravel(), sp.ang2pix(
+        nside, full_t.ravel(), full_p.ravel(), scheme))
+    for i, j in [(0, 0), (182, 7), (182, 8), (189, 179)]:
+        assert sp.ang2pix(nside, theta[i, 0], phi[j], scheme) == got[i, j]
+    empty = sp.ang2pix(nside, np.empty(0), np.empty(0), scheme)
+    assert empty.shape == (0,) and empty.dtype == np.int64

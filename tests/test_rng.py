@@ -2,7 +2,35 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from skypix.rng import SplitMix64, sample_without_replacement
+from skypix.errors import DomainError
+from skypix.rng import sample_without_replacement
+
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """splitmix64 over python ints (exact 64-bit arithmetic), one word at a
+    time, as ``skypix/rng.py`` specifies it: the sampler's oracle."""
+
+    def __init__(self, seed):
+        self._s = int(seed) & _MASK64
+
+    def next_u64(self):
+        self._s = (self._s + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._s
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def next_below(self, m):
+        """Unbiased draw from ``0..m-1`` by rejection."""
+        if m <= 0:
+            raise ValueError("bound must be positive")
+        limit = _MASK64 + 1 - ((_MASK64 + 1) % m)
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % m
 
 
 def test_stream_matches_reference_words():
@@ -48,6 +76,20 @@ def test_sample_bounds():
     with pytest.raises(ValueError):
         sample_without_replacement(5, 6, seed=0)
     assert sample_without_replacement(5, 0, seed=0).size == 0
+
+
+@pytest.mark.parametrize("n, k, words", [
+    (5, 6, ["6", "0..5"]), (5, -1, ["-1", "0..5"]),
+    (2 ** 63, 3, [str(2 ** 63)]), (2 ** 64 + 7, 0, [str(2 ** 64 + 7)])])
+def test_sample_domain_errors_name_the_numbers(n, k, words):
+    with pytest.raises(DomainError) as err:
+        sample_without_replacement(n, k, seed=0)
+    assert all(w in str(err.value) for w in words)
+
+
+def test_sample_largest_population():
+    out = sample_without_replacement(2 ** 63 - 1, 5, seed=3)
+    assert out.dtype == np.int64 and out.size == 5 and out.min() >= 1
 
 
 def test_sample_is_uniform_over_items():
