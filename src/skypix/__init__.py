@@ -18,7 +18,7 @@ from .geom import (
     convert_coords, hms_to_degrees, geodesic_distance, extremal_distance,
     spherical_triangle_area, triangulate,
 )
-from .fits import MapSource, FitsHeader, open_map, write_map
+from .fits import MapSource, open_map, write_map
 from .frame import (
     SkyFrame, full_frame, frame_from_map, assign_pixels, extract_window,
     sample_frame, geo_area, bind_frames, summarize,

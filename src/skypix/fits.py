@@ -47,28 +47,12 @@ class Column:
         return self.dtype.itemsize
 
 
-@dataclass
-class FitsHeader:
-    """Parsed header cards plus the table quantities derived from them."""
-
-    cards: list
-    nside: int | None = None
-    ordering: str | None = None
-    row_bytes: int = 0
-    row_count: int = 0
-    columns: list = field(default_factory=list)
-
-    @property
-    def column_names(self):
-        return [c.name for c in self.columns]
-
-
 def _parse_card(raw):
+    """``(key, value)`` of one header card; comments are not kept."""
     key = raw[:8].strip()
     if key in ("", "COMMENT", "HISTORY") or raw[8:10] != "= ":
-        return key, None, raw[8:].strip()
+        return key, None
     body = raw[10:]
-    comment = ""
     if body.lstrip().startswith("'"):
         start = body.index("'")
         end = start + 1
@@ -80,30 +64,19 @@ def _parse_card(raw):
                 end += 2
                 continue
             break
-        value = body[start + 1:end].replace("''", "'").rstrip()
-        rest = body[end + 1:]
-    else:
-        slash = body.find("/")
-        token = (body if slash < 0 else body[:slash]).strip()
-        rest = "" if slash < 0 else body[slash:]
-        if token == "T":
-            value = True
-        elif token == "F":
-            value = False
-        elif token == "":
-            value = None
-        else:
-            try:
-                value = int(token)
-            except ValueError:
-                try:
-                    value = float(token.replace("D", "E"))
-                except ValueError:
-                    raise FormatError("unparseable card value %r" % token)
-    slash = rest.find("/")
-    if slash >= 0:
-        comment = rest[slash + 1:].strip()
-    return key, value, comment
+        return key, body[start + 1:end].replace("''", "'").rstrip()
+    token = body.split("/", 1)[0].strip()
+    if token in ("T", "F"):
+        return key, token == "T"
+    if token == "":
+        return key, None
+    try:
+        return key, int(token)
+    except ValueError:
+        try:
+            return key, float(token.replace("D", "E"))
+        except ValueError:
+            raise FormatError("unparseable card value %r" % token)
 
 
 def _read_header_blocks(fh):
@@ -138,6 +111,7 @@ def _infer_nside(row_count):
         % row_count)
 
 
+@dataclass(eq=False)
 class MapSource:
     """Lazily readable handle to the binary table of an opened map file.
 
@@ -147,38 +121,30 @@ class MapSource:
     curious users) can audit how much of the file was touched.
     """
 
-    def __init__(self, path, header, data_start):
-        self.path = path
-        self.header = header
-        self.data_start = data_start
-        self.row_bytes = header.row_bytes
-        self.row_count = header.row_count
-        self.columns = list(header.columns)
-        self.payload_reads = []
-        self._offsets = np.cumsum([0] + [c.nbytes for c in self.columns])
-
-    @property
-    def nside(self):
-        return self.header.nside
-
-    @property
-    def ordering(self):
-        return self.header.ordering
+    path: str
+    nside: int
+    ordering: str | None
+    row_bytes: int
+    row_count: int
+    columns: list
+    data_start: int
+    payload_reads: list = field(default_factory=list)
 
     @property
     def payload_bytes_read(self):
         return sum(length for _, length in self.payload_reads)
 
     def _row_dtype(self):
+        offsets = np.cumsum([0] + [c.nbytes for c in self.columns])
         return np.dtype({"names": [c.name for c in self.columns],
                          "formats": [c.dtype for c in self.columns],
-                         "offsets": [int(o) for o in self._offsets[:-1]],
+                         "offsets": [int(o) for o in offsets[:-1]],
                          "itemsize": self.row_bytes})
 
     def _check_columns(self, names):
         if names is None:
             return [c.name for c in self.columns]
-        known = set(self.header.column_names)
+        known = {c.name for c in self.columns}
         for name in names:
             if name not in known:
                 raise SchemaError("unknown column %r; file has %s"
@@ -252,7 +218,7 @@ def open_map(path):
         raise FormatError("no such file: %s" % path)
     with open(path, "rb") as fh:
         primary, consumed = _read_header_blocks(fh)
-        pdict = dict((k, v) for k, v, _ in primary)
+        pdict = dict(primary)
         if pdict.get("SIMPLE") is not True:
             raise FormatError("not a FITS file (missing SIMPLE = T)")
         # skip any primary data (BITPIX/NAXIS driven); map files carry none
@@ -264,7 +230,7 @@ def open_map(path):
             consumed += ((size + BLOCK - 1) // BLOCK) * BLOCK
             fh.seek(consumed)
         ext, ext_bytes = _read_header_blocks(fh)
-    edict = dict((k, v) for k, v, _ in ext)
+    edict = dict(ext)
     if str(edict.get("XTENSION", "")).strip() != "BINTABLE":
         raise FormatError("first extension is not a BINTABLE")
     try:
@@ -294,10 +260,8 @@ def open_map(path):
     nside = edict.get("NSIDE")
     nside = int(nside) if nside is not None else _infer_nside(row_count)
 
-    header = FitsHeader(cards=primary + ext, nside=nside, ordering=ordering,
-                        row_bytes=row_bytes, row_count=row_count,
-                        columns=columns)
-    return MapSource(path, header, consumed + ext_bytes)
+    return MapSource(path, nside, ordering, row_bytes, row_count, columns,
+                     consumed + ext_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -182,14 +182,6 @@ def _cell_radius(nside):
     return 1.05 * math.acos(min(1.0, float(a @ b)))
 
 
-def _region(region):
-    if isinstance(region, (list, tuple)):
-        region = WindowSet(tuple(region))
-    if not isinstance(region, WindowSet):
-        region = WindowSet((region,))
-    return region
-
-
 def _cell_bounds(nside, region):
     """``(all_in, any_in, shift)`` of the region over the nested cells at
     ``min(nside, _CELL_NSIDE)``: whether it holds every point of a cell,
@@ -230,7 +222,7 @@ def extract_window(frame, region):
     """Rows whose coordinates fall inside the region (pixel centers decide
     membership for frames without explicit coordinates); the region is
     recorded as provenance."""
-    region = _region(region)
+    region = WindowSet(region)
     out = frame.take(_center_membership(frame, region))
     out.windows = list(frame.windows) + [region]
     return out
@@ -243,7 +235,7 @@ def window_pixels(nside, region, scheme=healpix.NESTED):
     Only the pixels of nested cells that the region may reach are listed,
     and only those of cells that straddle its boundary are tested, so a
     small window costs in proportion to its area, not to the sky."""
-    region = _region(region)
+    region = WindowSet(region)
     _, any_in, shift = _cell_bounds(nside, region)
     pix = ((np.flatnonzero(any_in)[:, None] << shift)
            + np.arange(1, (1 << shift) + 1)).ravel()

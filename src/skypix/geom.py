@@ -4,10 +4,15 @@ Windows are closed regions: points exactly on a disc rim or polygon edge
 count as inside.  Polygon vertices are joined by great-circle arcs and the
 polygon must fit inside an open hemisphere; larger regions are expressed as
 complements or window-set combinations.
+
+Each window is reduced once, when built, to a union of convex pieces of
+half-spaces (see :class:`Window`), so that polygon errors are raised on
+construction; point membership and whole-cap bounds are one loop over the
+pieces, and a :class:`WindowSet` combines them under one set rule.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -153,8 +158,13 @@ class Window:
 
     ``center``/``r`` describe a disc (geodesic radius in (0, pi)); polygons
     list at least three vertices, joined by great-circle arcs, all within an
-    open hemisphere.  ``assumed_convex`` unlocks the cheap edge-sign
-    membership test for polygons known to be convex.
+    open hemisphere and not self-intersecting.
+
+    ``pieces`` is the shape as a union of convex pieces, each a tuple of
+    half-spaces ``(n, h)``, ``x . n >= h``: a disc's center with ``cos r``,
+    or a polygon's edge planes (``h = 0``, ``|n|`` the edge's sine), in one
+    piece when ``assumed_convex`` (checked on every vertex) and one piece
+    per triangle of :func:`triangulate` otherwise.
     """
 
     kind: str
@@ -163,6 +173,7 @@ class Window:
     r: float | None = None
     vertices: tuple = ()
     assumed_convex: bool = False
+    pieces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "disc":
@@ -170,17 +181,24 @@ class Window:
                 raise GeometryError("disc window needs center and r")
             if not 0.0 < self.r < math.pi:
                 raise GeometryError("disc radius must be in (0, pi)")
+            pieces = (((self.center.to_vector(), math.cos(self.r)),),)
         elif self.kind == "polygon":
-            verts = tuple(self.vertices)
-            if len(verts) < 3:
+            object.__setattr__(self, "vertices", tuple(self.vertices))
+            if len(self.vertices) < 3:
                 raise GeometryError("polygon needs at least 3 vertices")
-            arr = np.array([v.to_vector() for v in verts])
+            arr = self.vertex_array()
             same = (np.abs(arr - np.roll(arr, -1, axis=0)).max(axis=1) < 1e-15)
             if same.any():
                 raise GeometryError("repeated consecutive vertices")
-            object.__setattr__(self, "vertices", verts)
+            triangles = triangulate(self)
+            normals = [_edge_normals(np.array(t)) for t in
+                       ((arr,) if self.assumed_convex else triangles)]
+            if self.assumed_convex and np.any(arr @ normals[0].T < -_EDGE_TOL):
+                raise GeometryError("polygon declared convex is not convex")
+            pieces = tuple(tuple((n, 0.0) for n in ns) for ns in normals)
         else:
             raise GeometryError("window kind must be 'disc' or 'polygon'")
+        object.__setattr__(self, "pieces", pieces)
 
     # -- geometry ---------------------------------------------------------
 
@@ -199,25 +217,18 @@ class Window:
         return 4 * math.pi - base if self.complement else base
 
     def complemented(self):
-        return Window(self.kind, not self.complement, self.center, self.r,
-                      self.vertices, self.assumed_convex)
+        return replace(self, complement=not self.complement)
 
     def contains(self, xyz):
         """Membership of unit vectors ``(..., 3)``; boundaries are inside."""
-        inside = self._base_contains(np.asarray(xyz, dtype=np.float64))
+        xyz = np.asarray(xyz, dtype=np.float64)
+        inside = np.zeros(xyz.shape[:-1], dtype=bool)
+        for (n, h), *rest in self.pieces:
+            part = (xyz @ n) >= h - _EDGE_TOL
+            for n, h in rest:
+                part &= (xyz @ n) >= h - _EDGE_TOL
+            inside |= part
         return ~inside if self.complement else inside
-
-    def _base_contains(self, xyz):
-        if self.kind == "disc":
-            c = self.center.to_vector()
-            return (xyz @ c) >= math.cos(self.r) - _EDGE_TOL
-        verts = self.vertex_array()
-        if self.assumed_convex:
-            return _convex_contains(verts, xyz)
-        out = np.zeros(xyz.shape[:-1], dtype=bool)
-        for tri in triangulate(self):
-            out |= _convex_contains(np.array(tri), xyz)
-        return out
 
     def cap_bounds(self, centers, radius):
         """Membership of whole caps: for spherical caps of angular
@@ -225,28 +236,26 @@ class Window:
         ``(all_in, any_in)``.  Where ``all_in`` holds, :meth:`contains`
         accepts every point of the cap; where ``any_in`` fails, it accepts
         none.  Both allow for the edge tolerance, so only caps with
-        ``any_in & ~all_in`` need their points tested."""
-        all_in, any_in = self._base_cap_bounds(centers, radius)
-        return (~any_in, ~all_in) if self.complement else (all_in, any_in)
+        ``any_in & ~all_in`` need their points tested.
 
-    def _base_cap_bounds(self, centers, radius):
-        if self.kind == "disc":
-            c = self.center.to_vector()
-            d = np.arccos(np.clip(centers @ c, -1.0, 1.0))
-            nearest = np.cos(np.maximum(d - radius, 0.0))
-            return (d + radius <= self.r,
-                    nearest >= math.cos(self.r) - 2 * _EDGE_TOL)
-        verts = self.vertex_array()
-        if self.assumed_convex:
-            return _convex_cap_bounds(verts, centers, radius)
+        Per half-space, a cap's points lie within ``radius`` of the
+        elevation ``s`` of its center above the plane ``x . n = 0``, and
+        ``x . n >= h`` is an elevation of at least ``asin(h / |n|)``."""
         all_in = np.zeros(len(centers), dtype=bool)
         any_in = np.zeros(len(centers), dtype=bool)
-        for tri in triangulate(self):
-            tri_all, tri_any = _convex_cap_bounds(np.array(tri), centers,
-                                                  radius)
-            all_in |= tri_all
-            any_in |= tri_any
-        return all_in, any_in
+        for piece in self.pieces:
+            piece_all = np.ones(len(centers), dtype=bool)
+            piece_any = np.ones(len(centers), dtype=bool)
+            for n, h in piece:
+                norm = np.linalg.norm(n)
+                s = np.arcsin(np.clip(centers @ n / norm, -1.0, 1.0))
+                beta = np.arcsin(np.clip(h / norm, -1.0, 1.0))
+                piece_all &= s - radius >= beta
+                nearest = norm * np.sin(np.minimum(s + radius, 0.5 * math.pi))
+                piece_any &= nearest >= h - 2 * _EDGE_TOL
+            all_in |= piece_all
+            any_in |= piece_any
+        return (~any_in, ~all_in) if self.complement else (all_in, any_in)
 
     def describe(self):
         kind = ("minus." if self.complement else "") + self.kind
@@ -321,38 +330,13 @@ def polygon(points, complement=False, assumed_convex=False):
 
 
 def _edge_normals(verts):
-    """Edge-plane normals of a convex polygon, each turned toward the
-    vertex centroid; unnormalized, so ``|n|`` is the sine of the edge."""
+    """Edge-plane normals of a convex polygon that :func:`triangulate` has
+    accepted, each turned toward the vertex centroid; unnormalized, so
+    ``|n|`` is the sine of the edge."""
     centroid = verts.mean(axis=0)
-    norm = np.linalg.norm(centroid)
-    if norm < 1e-12:
-        raise GeometryError("degenerate polygon")
-    centroid = centroid / norm
+    centroid = centroid / np.linalg.norm(centroid)
     normals = np.cross(verts, np.roll(verts, -1, axis=0))
     return normals * np.where(normals @ centroid >= 0, 1.0, -1.0)[:, None]
-
-
-def _convex_contains(verts, xyz):
-    """Same-side test: inside iff on the interior side of every edge plane."""
-    inside = np.ones(np.asarray(xyz).shape[:-1], dtype=bool)
-    for n in _edge_normals(verts):
-        inside &= (np.asarray(xyz) @ n) >= -_EDGE_TOL
-    return inside
-
-
-def _convex_cap_bounds(verts, centers, radius):
-    """``(all_in, any_in)`` of caps against a convex polygon, edge plane by
-    edge plane: the signed angle of a cap's points to a plane lies within
-    ``radius`` of its center's."""
-    all_in = np.ones(len(centers), dtype=bool)
-    any_in = np.ones(len(centers), dtype=bool)
-    for n in _edge_normals(verts):
-        sine = np.linalg.norm(n)
-        s = np.arcsin(np.clip(centers @ n / sine, -1.0, 1.0))
-        all_in &= s >= radius
-        nearest = sine * np.sin(np.minimum(s + radius, 0.5 * math.pi))
-        any_in &= nearest >= -2 * _EDGE_TOL
-    return all_in, any_in
 
 
 @dataclass(frozen=True)
@@ -363,40 +347,34 @@ class WindowSet:
     windows: tuple
 
     def __init__(self, windows):
-        if isinstance(windows, Window):
+        if isinstance(windows, WindowSet):
+            windows = windows.windows
+        elif isinstance(windows, Window):
             windows = (windows,)
         object.__setattr__(self, "windows", tuple(windows))
 
+    def _set_rule(self, query, shape, width):
+        """The set rule over ``query(w)``, a tuple of ``width`` boolean
+        arrays per window: ORed over the plain members (all True when there
+        are none), then ANDed with each complemented member's."""
+        plain = [w for w in self.windows if not w.complement]
+        out = [np.full(shape, not plain) for _ in range(width)]
+        for w in plain + [w for w in self.windows if w.complement]:
+            combine = np.logical_and if w.complement else np.logical_or
+            for acc, part in zip(out, query(w)):
+                combine(acc, part, out=acc)
+        return out
+
     def contains(self, xyz):
         xyz = np.asarray(xyz, dtype=np.float64)
-        plain = [w for w in self.windows if not w.complement]
-        comp = [w for w in self.windows if w.complement]
-        if plain:
-            inside = np.zeros(xyz.shape[:-1], dtype=bool)
-            for w in plain:
-                inside |= w.contains(xyz)
-        else:
-            inside = np.ones(xyz.shape[:-1], dtype=bool)
-        for w in comp:
-            inside &= w.contains(xyz)
-        return inside
+        return self._set_rule(lambda w: (w.contains(xyz),), xyz.shape[:-1],
+                              1)[0]
 
     def cap_bounds(self, centers, radius):
         """``(all_in, any_in)`` of :meth:`Window.cap_bounds`, combined
-        under the set rule in three-valued logic."""
-        plain = [w for w in self.windows if not w.complement]
-        comp = [w for w in self.windows if w.complement]
-        all_in = np.full(len(centers), not plain)
-        any_in = all_in.copy()
-        for w in plain:
-            w_all, w_any = w.cap_bounds(centers, radius)
-            all_in |= w_all
-            any_in |= w_any
-        for w in comp:
-            w_all, w_any = w.cap_bounds(centers, radius)
-            all_in &= w_all
-            any_in &= w_any
-        return all_in, any_in
+        under the set rule: a bound on each member is a bound on the set."""
+        return tuple(self._set_rule(lambda w: w.cap_bounds(centers, radius),
+                                    len(centers), 2))
 
     def describe(self):
         return [w.describe() for w in self.windows]

@@ -450,12 +450,20 @@ def fit_inputs(small_map, tmp_path):
     ("spec", '{"kind": "disc", "center": {"theta": 1%s, "phi": 0}, "r": 0.5}'
      % ("0" * 400), 2),
     ("spec", '{"kind": "disc", "center": {"theta": 1, "phi": 0}, "r": 4}', 4),
+    ("spec", '{"kind": "polygon", "vertices": [%s]}' % ", ".join(
+        '{"theta": %s, "phi": %s}' % v
+        for v in ((1.0, 0.0), (1.0, 1.0), (1.4, 0.0), (1.4, 1.0))), 4),
+    ("spec", '{"kind": "polygon", "assumedConvex": true, "vertices": [%s]}'
+     % ", ".join('{"theta": %s, "phi": %s}' % v
+                 for v in ((0.9, 1.7), (0.9, 2.3), (1.5, 2.3), (1.2, 2.0),
+                           (1.5, 1.7))), 4),
     ("sidecar", "{}", 2),
     ("sidecar", '{"nside": 16,', 2),
     ("fit", '{"family": "exponential", "psi": 0.5}', 2),
     ("fit", '{"family": "exponential",', 2),
 ], ids=["spec-truncated", "spec-no-center", "spec-string-theta",
-        "spec-not-object", "spec-huge-theta", "spec-radius-domain", "sidecar-empty",
+        "spec-not-object", "spec-huge-theta", "spec-radius-domain",
+        "spec-self-intersecting", "spec-false-convex", "sidecar-empty",
         "sidecar-truncated", "fit-no-sigmasq", "fit-truncated"])
 def test_malformed_json_input_exits_2(runner, small_map, fit_inputs, tmp_path,
                                       kind, text, code):

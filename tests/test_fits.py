@@ -26,7 +26,7 @@ def test_header_cards(small_map):
     assert src.ordering == "nested"
     assert src.row_count == 12
     assert src.row_bytes == 8
-    assert src.header.column_names == ["I", "TMASK"]
+    assert [c.name for c in src.columns] == ["I", "TMASK"]
 
 
 def test_open_reads_no_payload(small_map):

@@ -208,6 +208,75 @@ def test_complement_consistency(theta, phi, r):
     assert np.all(inside ^ outside)
 
 
+def _around(center, rho, az):
+    """Points at angles ``rho`` from ``center``, at azimuths ``az``."""
+    helper = [1.0, 0.0, 0.0] if abs(center[0]) < 0.9 else [0.0, 1.0, 0.0]
+    e1 = unit(np.cross(center, helper))
+    e2 = np.cross(center, e1)
+    rho = np.asarray(rho)[..., None]
+    az = np.asarray(az)[..., None]
+    return np.cos(rho) * center + np.sin(rho) * (np.cos(az) * e1
+                                                 + np.sin(az) * e2)
+
+
+@st.composite
+def _bounded_regions(draw):
+    """``(anchor, region)``: a window or window set near ``anchor`` made of
+    discs with radii out to the clip edges of the half-space bounds, convex
+    and star-shaped polygons, and complements."""
+    anchor = geom.sph2cart(draw(st.floats(0.0, math.pi)),
+                           draw(st.floats(0.0, 2 * math.pi)))
+    windows = []
+    for _ in range(draw(st.integers(1, 3))):
+        complement = draw(st.booleans())
+        center = _around(anchor, draw(st.floats(0.0, 0.3)),
+                         draw(st.floats(0.0, 2 * math.pi)))
+        kind = draw(st.sampled_from(["disc", "convex", "star"]))
+        if kind == "disc":
+            r = draw(st.sampled_from([1e-9, math.pi - 1e-9])
+                     | st.floats(1e-9, math.pi - 1e-9))
+            windows.append(geom.disc(*geom.cart2sph(center), r, complement))
+            continue
+        n = draw(st.integers(3, 8))
+        size = draw(st.floats(1e-4, 1.2))
+        rho = np.full(2 * n if kind == "star" else n, size)
+        if kind == "star":   # every other vertex pulled in
+            rho[::2] *= 0.4
+        az = draw(st.floats(0.0, 2 * math.pi)) + np.linspace(
+            0.0, 2 * math.pi, len(rho), endpoint=False)
+        points = zip(*geom.cart2sph(_around(center, rho, az)))
+        windows.append(geom.polygon(points, complement,
+                                    assumed_convex=kind == "convex"))
+    region = windows[0] if len(windows) == 1 else geom.WindowSet(windows)
+    return anchor, region
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bounded_regions(), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-7, 1e-3, 0.05, 0.5, 2.0]))
+def test_cap_bounds_sound_against_contains(drawn, seed, radius):
+    # caps about points near the region and anywhere on the sphere; points
+    # spread over each cap, half of them on its rim
+    anchor, region = drawn
+    rng = np.random.default_rng(seed)
+    centers = np.concatenate([
+        _around(anchor, rng.uniform(0, 3 * radius + 1.5, 30),
+                rng.uniform(0, 2 * math.pi, 30)),
+        geom.sph2cart(np.arccos(rng.uniform(-1, 1, 10)),
+                      rng.uniform(0, 2 * math.pi, 10))])
+    all_in, any_in = region.cap_bounds(centers, radius)
+    assert not np.any(all_in & ~any_in)
+    for c, every, some in zip(centers, all_in, any_in):
+        rho = radius * np.sqrt(rng.uniform(size=200))
+        rho[100:] = radius
+        inside = region.contains(_around(c, rho,
+                                         rng.uniform(0, 2 * math.pi, 200)))
+        if every:
+            assert inside.all()
+        if not some:
+            assert not inside.any()
+
+
 # ---------------------------------------------------------------------------
 # triangulation
 
@@ -249,15 +318,25 @@ def test_triangulation_interiors_disjoint():
 
 
 def test_self_intersecting_polygon_rejected():
-    bow = geom.polygon([(1.0, 0.0), (1.0, 1.0), (1.4, 0.0), (1.4, 1.0)])
     with pytest.raises(GeometryError):
-        geom.triangulate(bow)
+        geom.polygon([(1.0, 0.0), (1.0, 1.0), (1.4, 0.0), (1.4, 1.0)])
 
 
 def test_polygon_spanning_hemisphere_rejected():
-    ring = geom.polygon([(math.pi / 2, a) for a in (0.0, 2.0, 4.0)])
     with pytest.raises(GeometryError):
-        geom.triangulate(ring)
+        geom.polygon([(math.pi / 2, a) for a in (0.0, 2.0, 4.0)])
+
+
+def test_false_convex_flag_rejected():
+    # a concave pentagon, notched at its fourth vertex
+    corners = [(0.9, 1.7), (0.9, 2.3), (1.5, 2.3), (1.2, 2.0), (1.5, 1.7)]
+    geom.polygon(corners)
+    with pytest.raises(GeometryError):
+        geom.polygon(corners, assumed_convex=True)
+    spec = geom.polygon(corners).to_dict()
+    spec["assumedConvex"] = True
+    with pytest.raises(GeometryError):
+        geom.Window.from_dict(spec)
 
 
 def test_degenerate_windows_rejected():
