@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import healpix
 from .errors import BoundsError, DomainError, FormatError, SchemaError
 from .rng import sample_without_replacement
 
@@ -100,15 +101,19 @@ def _read_header_blocks(fh):
             return cards, consumed
 
 
-def _infer_nside(row_count):
-    nside2, rem = divmod(row_count, 12)
-    if rem == 0 and nside2 > 0:
-        nside = math.isqrt(nside2)
-        if nside * nside == nside2 and nside & (nside - 1) == 0:
+def _map_nside(card, row_count):
+    """The NSIDE card's value, or with no card the nside whose full sky has
+    ``row_count`` rows; either must pass healpix's nside rule."""
+    if card is None:
+        nside = math.isqrt(row_count // 12)
+        if 12 * nside * nside == row_count and healpix.is_valid_nside(nside):
             return nside
-    raise FormatError(
-        "cannot infer nside: row count %d is not 12*4^k and no NSIDE card"
-        % row_count)
+        raise FormatError("cannot infer nside: row count %d is not 12*4^k "
+                          "and no NSIDE card" % row_count)
+    if type(card) is not int or not healpix.is_valid_nside(card):
+        raise FormatError("NSIDE card %r is not an integer power of two in "
+                          "[1, 2^%d]" % (card, healpix.MAX_LEVEL))
+    return card
 
 
 @dataclass(eq=False)
@@ -257,8 +262,7 @@ def open_map(path):
         ordering = str(ordering).strip().lower()
         if ordering not in ("ring", "nested"):
             raise FormatError("unrecognised ORDERING %r" % ordering)
-    nside = edict.get("NSIDE")
-    nside = int(nside) if nside is not None else _infer_nside(row_count)
+    nside = _map_nside(edict.get("NSIDE"), row_count)
 
     return MapSource(path, nside, ordering, row_bytes, row_count, columns,
                      consumed + ext_bytes)

@@ -361,8 +361,12 @@ def read_csv(path):
     try:
         with open(sidecar) as fh:
             meta = json.load(fh)
-        scheme, nside = meta["ordering"], int(meta["nside"])
+        scheme, nside = meta["ordering"], meta["nside"]
         mode = meta.get("mode", CMB)
+        if (type(nside) is not int or not healpix.is_valid_nside(nside)
+                or scheme not in healpix.SCHEMES or mode not in (CMB, HP)):
+            raise ValueError("nside %r, ordering %r or mode %r is invalid"
+                             % (nside, scheme, mode))
     except FileNotFoundError:
         raise SchemaError("missing metadata sidecar %s" % sidecar)
     except (ValueError, KeyError, TypeError) as exc:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DomainError, FormatError, GeometryError
 
@@ -123,30 +124,25 @@ def geodesic_distance(a, b):
 
 
 def extremal_distance(points, target=None, mode="max"):
-    """Extremal geodesic distance, pairwise or from every point to a target."""
+    """Extremal geodesic distance, pairwise or from every point to a target.
+
+    Pairwise, a k-d tree gives the shortest chord ``c`` from a point to
+    another (minimum ``2 asin(c/2)``, 0 for duplicates) and from an antipode
+    to a point (maximum ``pi - 2 asin(c/2)``), exact at small separations."""
     if mode not in ("max", "min"):
         raise DomainError("mode must be 'max' or 'min'")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.size == 0:
-        raise DomainError("empty point set")
+    if pts.size == 0 or not np.isfinite(pts).all():
+        raise DomainError("need a non-empty set of finite points")
     if target is not None:
         d = geodesic_distance(pts, np.asarray(target, dtype=np.float64))
         return float(d.max() if mode == "max" else d.min())
     if len(pts) < 2:
         raise DomainError("pairwise mode needs at least two points")
-    best = 0.0 if mode == "max" else math.pi
-    block = 2048
-    for i in range(0, len(pts), block):
-        chunk = pts[i:i + block]
-        dots = np.clip(chunk @ pts.T, -1.0, 1.0)
-        d = np.arccos(dots)
-        # mask self and duplicate pairs only for the minimum
-        if mode == "max":
-            best = max(best, float(d.max()))
-        else:
-            np.fill_diagonal(d[:, i:i + block], math.pi)
-            best = min(best, float(d.min()))
-    return best
+    tree = cKDTree(pts)
+    if mode == "min":
+        return 2 * math.asin(min(tree.query(pts, k=2)[0][:, 1].min() / 2, 1))
+    return math.pi - 2 * math.asin(min(tree.query(-pts)[0].min() / 2, 1))
 
 
 # ---------------------------------------------------------------------------

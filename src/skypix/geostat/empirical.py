@@ -11,12 +11,11 @@ and reports only the positive-lag bins.  The covariance subtracts the
 global sample mean.
 
 Pairs are exact within ``max_dist``: a k-d tree over the unit vectors
-enumerates only the pairs whose chord can put them in range, block pair by
-block pair, so memory stays bounded whatever ``max_dist`` is.  The budget
-(``pair_budget``, default ``PAIR_BUDGET``) applies to the pairs in range,
-not to all n(n-1)/2: above it, a seeded uniform subsample of
-``pair_budget`` pair draws (with replacement) stands in and bin counts are
-rescaled to the full pair population.
+yields, block pair by block pair, only the pairs whose chord can put them in
+range.  The budget (``pair_budget``, default ``PAIR_BUDGET``) caps the pairs
+in range: above it, as many seeded uniform pair draws (with replacement)
+stand in, with counts rescaled to all n(n-1)/2 pairs.  Both paths bin their
+pairs in one loop, ``_SLICE`` at most at a time, so memory stays bounded.
 """
 
 import math
@@ -139,35 +138,50 @@ def _pairs_within(pos, ranges, centers, radii, max_dist):
             yield lo + i, ranges[b][0] + j
 
 
+def _pair_draws(n, m, seed):
+    """Yield the pairs i < j of ``m`` seeded uniform row draws of i and of j,
+    ``_SLICE`` draws at a time; j continues the stream of i, as if both
+    were drawn whole, from a second generator moved past the i draws."""
+    gen_i, gen_j = numpy_generator(seed), numpy_generator(seed)
+    sizes = [min(_SLICE, m - lo) for lo in range(0, m, _SLICE)]
+    for size in sizes:
+        gen_j.integers(0, n, size=size)
+    for size in sizes:
+        i, j = gen_i.integers(0, n, size=size), gen_j.integers(0, n, size=size)
+        keep = i < j
+        i, j = i[keep], j[keep]   # the whole slice is freed before binning
+        yield i, j
+
+
 def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
     """Accumulate per-bin pair sums; mode 'cov' sums a_i*a_j of centered
-    values, mode 'vario' sums squared differences.
+    values, mode 'vario' sums squared differences.  Returns the field, the
+    sums, the pair counts binned and their scale to the pair population.
 
     Every pair in range is binned when at most ``pair_budget`` are;
     otherwise a seeded uniform subsample of ``pair_budget`` draws (pairs
-    with i < j kept) stands in and counts are rescaled to all n(n-1)/2
-    pairs."""
+    with i < j kept) stands in and counts scale to all n(n-1)/2 pairs."""
     if not 0 < max_dist <= math.pi:
         raise DomainError("max_dist must be in (0, pi]")
     if bins < 1:
         raise DomainError("bins must be >= 1")
+    if pair_budget < 1:
+        raise DomainError("pair_budget must be >= 1")
     values = np.asarray(frame.column(column), dtype=np.float64)
     n = len(values)
     if n < 2:
         raise DomainError("need at least two rows")
     xyz = frame.positions()
     width = max_dist / bins
-    centered = values - values.mean()
-    field = centered if mode == "cov" else values
-    sums = np.zeros(bins)
-    counts = np.zeros(bins)
+    field = values - values.mean() if mode == "cov" else values
+    sums, counts = np.zeros(bins), np.zeros(bins)
 
-    def accumulate(pos, fld, i, j):
-        """Bin the pairs (i, j) of rows of ``pos``/``fld`` that are in
-        range, a slice at a time, in pair order; return how many were."""
-        binned = 0
-        for lo in range(0, len(i), _SLICE):
-            a, b = i[lo:lo + _SLICE], j[lo:lo + _SLICE]
+    def bin_pairs(pos, fld, pairs, limit=math.inf):
+        """Bin a stream of ``(i, j)`` row arrays in order; return the pairs it
+        held, or None once more than ``limit`` pairs were in range."""
+        held = binned = 0
+        for a, b in pairs:
+            held += len(a)
             d = np.einsum("ij,ij->i", pos.take(a, axis=0), pos.take(b, axis=0))
             np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
             # a self dot product may round below 1: coincident rows sit at
@@ -180,14 +194,17 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
             inside = (d > 0) & (d <= max_dist)
             if not inside.all():
                 a, b, d = a[inside], b[inside], d[inside]
+            binned += len(d)
+            if binned > limit:
+                return None
             fa, fb = fld.take(a), fld.take(b)
             prod = fa * fb if mode == "cov" else (fa - fb) ** 2
             idx = np.ceil(d / width).astype(np.int64) - 1   # >= 0 as d > 0
             np.minimum(idx, bins - 1, out=idx)
             np.add.at(sums, idx, prod)
             np.add.at(counts, idx, 1.0)
-            binned += len(idx)
-        return binned
+            del a, b, d, fa, fb, prod, idx   # free the slice before the next
+        return held
 
     # The exact pass runs on rows in k-d tree order, where every block is
     # a contiguous, spatially compact slice.
@@ -199,49 +216,36 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
     if surely > pair_budget:
         # rows closer than 1e-7 may sit at lag zero, outside every bin
         surely -= (tree.count_neighbors(tree, 1e-7) - n) // 2
-    if surely <= pair_budget:
-        in_range = 0
-        for i, j in _pairs_within(pos, ranges, centers, radii, max_dist):
-            in_range += accumulate(pos, fld, i, j)
-            if in_range > pair_budget:
-                break
-        else:
-            return values, centered, sums, counts, counts, width
-        sums[:] = 0.0
-        counts[:] = 0.0
-    rng = numpy_generator(seed)
-    m = int(pair_budget)
-    i = rng.integers(0, n, size=m)
-    j = rng.integers(0, n, size=m)
-    keep = i < j
-    i = i[keep]
-    j = j[keep]
-    accumulate(xyz, field, i, j)
-    scale = n * (n - 1) // 2 / len(i)
-    return values, centered, sums, counts * scale, counts, width
+    if surely <= pair_budget and bin_pairs(pos, fld, _pairs_within(
+            pos, ranges, centers, radii, max_dist), pair_budget) is not None:
+        return field, sums, counts, 1
+    sums[:] = counts[:] = 0.0
+    kept = bin_pairs(xyz, field, _pair_draws(n, int(pair_budget), seed))
+    # no draw kept: every bin is empty, as when no pair is in range
+    return field, sums, counts, n * (n - 1) // 2 / kept if kept else 0
 
 
 def empirical_covariance(frame, column, max_dist, bins, pair_budget=PAIR_BUDGET,
                          seed=0):
     """Binned covariance estimate; ``bins + 1`` values, bin 0 at lag zero."""
-    values, centered, sums, counts, raw_counts, width = _pair_bins(
+    centered, sums, counts, scale = _pair_bins(
         frame, column, max_dist, bins, pair_budget, seed, "cov")
     with np.errstate(invalid="ignore"):
-        est = np.where(raw_counts > 0, sums / np.maximum(raw_counts, 1), np.nan)
+        est = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     var0 = float(np.mean(centered ** 2))
-    lags = np.concatenate([[0.0], (np.arange(1, bins + 1) - 0.5) * width])
+    lags = np.concatenate([[0.0], (np.arange(1, bins + 1) - 0.5)
+                           * (max_dist / bins)])
     out_values = np.concatenate([[var0], est])
-    out_counts = np.concatenate([[len(values)], counts])
+    out_counts = np.concatenate([[len(centered)], counts * scale])
     return EmpiricalCurve(lags, out_values, out_counts, max_dist, bins)
 
 
 def empirical_variogram(frame, column, max_dist, bins, pair_budget=PAIR_BUDGET,
                         seed=0):
     """Classical variogram estimate over the positive-lag bins."""
-    _, _, sums, counts, raw_counts, width = _pair_bins(
+    _, sums, counts, scale = _pair_bins(
         frame, column, max_dist, bins, pair_budget, seed, "vario")
     with np.errstate(invalid="ignore"):
-        est = np.where(raw_counts > 0,
-                       sums / (2.0 * np.maximum(raw_counts, 1)), np.nan)
-    lags = (np.arange(1, bins + 1) - 0.5) * width
-    return EmpiricalCurve(lags, est, counts, max_dist, bins)
+        est = np.where(counts > 0, sums / (2.0 * np.maximum(counts, 1)), np.nan)
+    lags = (np.arange(1, bins + 1) - 0.5) * (max_dist / bins)
+    return EmpiricalCurve(lags, est, counts * scale, max_dist, bins)

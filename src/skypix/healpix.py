@@ -84,11 +84,16 @@ _NB_SWAP = np.array([
 ], dtype=np.int64)
 
 
+def is_valid_nside(nside):
+    """Whether the integer ``nside`` is a power of two in [1, 2^MAX_LEVEL]."""
+    return 1 <= nside <= (1 << MAX_LEVEL) and nside & (nside - 1) == 0
+
+
 def _check_nside(nside):
     if not isinstance(nside, (int, np.integer)):
         raise AddressingError("nside must be an integer, got %r" % (nside,))
     nside = int(nside)
-    if nside < 1 or nside > (1 << MAX_LEVEL) or (nside & (nside - 1)) != 0:
+    if not is_valid_nside(nside):
         raise AddressingError(
             "nside must be a power of two in [1, 2^%d], got %d" % (MAX_LEVEL, nside))
     return nside

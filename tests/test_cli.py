@@ -63,6 +63,18 @@ def test_info_unterminated_card_exits_2(runner, small_map, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("card", [b"3", b"0", b"-16", b"16.0", b"T"])
+def test_info_bad_nside_card_exits_2(runner, small_map, tmp_path, card):
+    blob = small_map.read_bytes()
+    good = b"NSIDE   = " + b"16".rjust(20)
+    assert good in blob
+    bad = tmp_path / "bad.fits"
+    bad.write_bytes(blob.replace(good, b"NSIDE   = " + card.rjust(20), 1))
+    result = runner.invoke(cli.main, ["info", str(bad)])
+    assert result.exit_code == 2
+    assert "NSIDE card" in result.output
+
+
 def test_mkfits_round_trip(runner, tmp_path):
     out = tmp_path / "fixture.fits"
     result = invoke(runner, ["mkfits", str(out), "--nside", "4",
@@ -459,12 +471,18 @@ def fit_inputs(small_map, tmp_path):
                            (1.5, 1.7))), 4),
     ("sidecar", "{}", 2),
     ("sidecar", '{"nside": 16,', 2),
+    ("sidecar", '{"nside": 3, "ordering": "nested", "mode": "cmb"}', 2),
+    ("sidecar", '{"nside": 0, "ordering": "nested", "mode": "cmb"}', 2),
+    ("sidecar", '{"nside": 16, "ordering": "nestd", "mode": "cmb"}', 2),
+    ("sidecar", '{"nside": 16, "ordering": "nested", "mode": "xx"}', 2),
     ("fit", '{"family": "exponential", "psi": 0.5}', 2),
     ("fit", '{"family": "exponential",', 2),
 ], ids=["spec-truncated", "spec-no-center", "spec-string-theta",
         "spec-not-object", "spec-huge-theta", "spec-radius-domain",
         "spec-self-intersecting", "spec-false-convex", "sidecar-empty",
-        "sidecar-truncated", "fit-no-sigmasq", "fit-truncated"])
+        "sidecar-truncated", "sidecar-nside-3", "sidecar-nside-0",
+        "sidecar-ordering", "sidecar-mode", "fit-no-sigmasq",
+        "fit-truncated"])
 def test_malformed_json_input_exits_2(runner, small_map, fit_inputs, tmp_path,
                                       kind, text, code):
     frame_csv, curve_csv = fit_inputs

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +217,75 @@ def test_coincident_rows_sit_at_lag_zero_in_any_direction():
         assert exact.counts.sum() == 900
         sampled = empirical_variogram(f, "I", math.pi, 60, pair_budget=100)
         assert np.flatnonzero(sampled.counts).tolist() == [bin_cross]
+
+
+# sha256 of (values, counts) of both curves on sampled_frame() at max_dist
+# pi, 12 bins, 3 * 2**20 + 1 draws and seed 7, as recorded when the sampled
+# path drew its whole budget at once
+SAMPLED_SHA256 = {
+    "empirical_variogram": (
+        "9fbab6541ec02416c4d907dd908300ca68ee7c15514250b09ebde161a1646c3f",
+        "7594a99b1d9f19fb5951a17fa63f7eb42433027f1687d538756c723b898ecc69"),
+    "empirical_covariance": (
+        "e17da67b5aa85b1805bdf939fd3260f981c12d125fe155218e8e9850571918b6",
+        "76f2e8d14e71fff713edb2448df14509bf636ea2822fb5b6a343d166600002d4"),
+}
+
+
+def sampled_frame(nside=16):
+    rng = np.random.default_rng(21)
+    return frame.full_frame(nside,
+                            columns={"I": rng.normal(size=sp.npix(nside))})
+
+
+@pytest.mark.parametrize("estimator", [empirical_variogram,
+                                       empirical_covariance])
+def test_sampled_curves_are_pinned(estimator):
+    # 3,072 rows make 4.7M pairs in range, over the budget: its draws span
+    # four slices of the sampled path, which must not move a single bit
+    curve = estimator(sampled_frame(), "I", math.pi, 12,
+                      pair_budget=3 * 2**20 + 1, seed=7)
+    assert (hashlib.sha256(curve.values.tobytes()).hexdigest(),
+            hashlib.sha256(curve.counts.tobytes()).hexdigest()) == \
+        SAMPLED_SHA256[estimator.__name__]
+
+
+def test_sampled_path_memory_is_bounded():
+    # 8M draws of each row index are 128 MB of int64 when drawn whole; in
+    # slices the whole estimate stays well under half of that
+    f = sampled_frame(32)
+    tracemalloc.start()
+    try:
+        curve = empirical_variogram(f, "I", math.pi, 12,
+                                    pair_budget=8_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # counts rescaled from a subsample: the sampled path ran
+    assert not np.array_equal(curve.counts, np.round(curve.counts))
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("estimator", [empirical_variogram,
+                                       empirical_covariance])
+def test_pair_budget_below_one_raises(estimator):
+    f = frame.full_frame(2, columns={"I": np.arange(48.0)})
+    for budget in (0, -5):
+        with pytest.raises(DomainError, match="pair_budget"):
+            estimator(f, "I", math.pi, 4, pair_budget=budget)
+
+
+def test_pair_budget_keeping_no_draw_gives_empty_bins():
+    # with seed 0, none of the first three draws on 48 rows has i < j
+    f = frame.full_frame(2, columns={"I": np.arange(48.0)})
+    for budget in (1, 2, 3):
+        vario = empirical_variogram(f, "I", math.pi, 4, pair_budget=budget)
+        assert_array_equal(vario.counts, np.zeros(4))
+        assert np.all(np.isnan(vario.values))
+        cov = empirical_covariance(f, "I", math.pi, 4, pair_budget=budget)
+        assert_array_equal(cov.counts, [48, 0, 0, 0, 0])
+        assert cov.values[0] == np.var(np.arange(48.0))
+        assert np.all(np.isnan(cov.values[1:]))
 
 
 def test_empty_bins_flagged():

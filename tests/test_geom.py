@@ -97,9 +97,56 @@ def test_extremal_pairwise_matches_brute_force():
     assert_allclose(geom.extremal_distance(pts, mode="min"), d.min())
 
 
+def brute_extremes(pts):
+    """Dense pairwise (max, min) geodesic distance, the angle of each pair
+    taken as atan2(|a x b|, a . b), which keeps its digits at every
+    separation; self pairs are left out of the minimum."""
+    best_max, best_min = 0.0, math.pi
+    for lo in range(0, len(pts), 250):
+        rows = pts[lo:lo + 250]
+        d = np.arctan2(np.linalg.norm(np.cross(rows[:, None], pts[None]),
+                                      axis=-1), rows @ pts.T)
+        best_max = max(best_max, d.max())
+        d[np.arange(len(rows)), lo + np.arange(len(rows))] = math.pi
+        best_min = min(best_min, d.min())
+    return best_max, best_min
+
+
+def extremes(pts):
+    return (geom.extremal_distance(pts, mode="max"),
+            geom.extremal_distance(pts, mode="min"))
+
+
+def test_extremal_pairwise_matches_dense_on_random_and_healpix_points():
+    import skypix as sp
+    rng = np.random.default_rng(12)
+    random = rng.normal(size=(2000, 3))
+    random /= np.linalg.norm(random, axis=1)[:, None]
+    rows = rng.choice(sp.npix(32), 2000, replace=False) + 1
+    centers = sp.pix2vec(32, rows, sp.RING)
+    for pts in (random, centers):
+        assert_allclose(extremes(pts), brute_extremes(pts), rtol=0,
+                        atol=1e-12)
+
+
+def test_extremal_pairwise_duplicates_antipodes_and_two_points():
+    rng = np.random.default_rng(13)
+    pts = rng.normal(size=(50, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    with_duplicate = np.vstack([pts, pts[17]])
+    assert geom.extremal_distance(with_duplicate, mode="min") == 0.0
+    with_antipode = np.vstack([pts, -pts[3]])
+    assert geom.extremal_distance(with_antipode, mode="max") == math.pi
+    two = np.array([[0.0, 0.0, 1.0], [math.sin(1.0), 0.0, math.cos(1.0)]])
+    assert_allclose(extremes(two), (1.0, 1.0), rtol=0, atol=1e-12)
+    assert extremes(two[[0, 0]]) == (0.0, 0.0)
+
+
 def test_extremal_distance_errors():
     with pytest.raises(DomainError):
         geom.extremal_distance(np.empty((0, 3)))
+    with pytest.raises(DomainError):
+        geom.extremal_distance(np.array([[0, 0, 1.0], [np.nan, 0, 0]]))
     with pytest.raises(DomainError):
         geom.extremal_distance(np.array([[0, 0, 1.0]]), mode="max")
 
