@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 usage or input-parse failure (a missing or
-unreadable input file included), 3 network failure, 4 computation failure
-(the message names the failing stage).  Every subcommand is deterministic
+unreadable input file, or an unwritable output file, included), 3 network
+failure, 4 computation failure (the message names the failing command).
+Commands raise; :class:`ErrorBoundary`, the click group, is the one place
+that maps an error to its exit code.  Every subcommand is deterministic
 given ``--seed``: identical invocations write byte-identical CSV/JSON/SVG
 outputs.
 """
@@ -20,26 +22,23 @@ from . import frame as skyframe
 from . import csvio, geom, geostat, healpix, plotsvg
 from .errors import (FormatError, NetworkError, SchemaError, SkypixError)
 
-PARSE_ERRORS = (FormatError, SchemaError)
+# first match wins: NetworkError is an OSError
+EXIT_CODES = (((FormatError, SchemaError), 2), (NetworkError, 3), (OSError, 2),
+              ((SkypixError, ValueError), 4))
 ANGDIST_HEADER = ["axis", "center", "mean", "count"]
 
 
-def _fail(stage, exc, code):
-    click.echo("%s: %s" % (stage, exc), err=True)
-    sys.exit(code)
+class ErrorBoundary(click.Group):
+    """Runs a subcommand; an error it raises is printed as ``<command>:
+    <message>`` on stderr and exits with its code in ``EXIT_CODES``."""
 
-
-def _guarded(stage, func):
-    try:
-        return func()
-    except PARSE_ERRORS as exc:
-        _fail(stage, exc, 2)
-    except NetworkError as exc:
-        _fail(stage, exc, 3)
-    except OSError as exc:          # after NetworkError, which is an IOError
-        _fail(stage, exc, 2)
-    except (SkypixError, ValueError) as exc:
-        _fail(stage, exc, 4)
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (SkypixError, ValueError, OSError) as exc:
+            click.echo("%s: %s" % (ctx.invoked_subcommand, exc), err=True)
+            sys.exit(next(code for kinds, code in EXIT_CODES
+                          if isinstance(exc, kinds)))
 
 
 def _json_out(payload, out):
@@ -129,7 +128,7 @@ def _load_fit_model(path):
                           % (path, type(exc).__name__, exc))
 
 
-@click.group()
+@click.group(cls=ErrorBoundary)
 def main():
     """Equal-area sky maps: inspection, windows, sampling and estimators."""
 
@@ -139,19 +138,17 @@ def main():
 @click.option("-o", "--out", type=click.Path(), help="Write JSON here instead of stdout.")
 def info(map_path, out):
     """Report header metadata of a map file."""
-    def run():
-        src = fitsio.open_map(map_path)
-        area = healpix.pixel_area(src.nside)
-        return {
-            "nside": src.nside,
-            "ordering": src.ordering,
-            "rows": src.row_count,
-            "row_bytes": src.row_bytes,
-            "columns": [{"name": c.name, "tform": "1" + c.tform}
-                        for c in src.columns],
-            "resolution_arcmin": math.sqrt(area) * (180 / math.pi) * 60,
-        }
-    _json_out(_guarded("info", run), out)
+    src = fitsio.open_map(map_path)
+    area = healpix.pixel_area(src.nside)
+    _json_out({
+        "nside": src.nside,
+        "ordering": src.ordering,
+        "rows": src.row_count,
+        "row_bytes": src.row_bytes,
+        "columns": [{"name": c.name, "tform": "1" + c.tform}
+                    for c in src.columns],
+        "resolution_arcmin": math.sqrt(area) * (180 / math.pi) * 60,
+    }, out)
 
 
 @main.command()
@@ -166,19 +163,16 @@ def info(map_path, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 def mkfits(out_path, nside, scheme, columns, pattern, seed):
     """Generate a synthetic full-sky map file (test fixture)."""
-    def run():
-        n = healpix.npix(nside)
-        rng = np.random.default_rng(seed)
-        table = {}
-        for name in columns.split(","):
-            if pattern == "index":
-                table[name] = np.arange(1, n + 1, dtype=np.float32)
-            else:
-                table[name] = rng.standard_normal(n).astype(np.float32)
-        fitsio.write_map(out_path, table, nside=nside, ordering=scheme)
-        fitsio.open_map(out_path)   # wrote-it-reads-back smoke check
-        return {"path": out_path, "rows": n}
-    _guarded("mkfits", run)
+    n = healpix.npix(nside)
+    rng = np.random.default_rng(seed)
+    table = {}
+    for name in columns.split(","):
+        if pattern == "index":
+            table[name] = np.arange(1, n + 1, dtype=np.float32)
+        else:
+            table[name] = rng.standard_normal(n).astype(np.float32)
+    fitsio.write_map(out_path, table, nside=nside, ordering=scheme)
+    fitsio.open_map(out_path)   # wrote-it-reads-back smoke check
 
 
 @main.command()
@@ -189,11 +183,7 @@ def mkfits(out_path, nside, scheme, columns, pattern, seed):
               help="Output frame CSV.")
 def sample(input_path, size, seed, out):
     """Draw a seeded random sample of rows into a frame CSV."""
-    def run():
-        f = _load_frame(input_path, sample=size, seed=seed)
-        skyframe.write_csv(f, out)
-        return {"rows": len(f)}
-    _guarded("sample", run)
+    skyframe.write_csv(_load_frame(input_path, sample=size, seed=seed), out)
 
 
 @main.command()
@@ -204,13 +194,10 @@ def sample(input_path, size, seed, out):
 @click.option("--report", type=click.Path(), help="Write the JSON report here.")
 def window(input_path, spec_path, out, report):
     """Extract the rows inside a window region; print a summary report."""
-    def run():
-        sub = _load_frame(input_path, region=_load_windows([spec_path])[0])
-        if out:
-            skyframe.write_csv(sub, out)
-        summary = skyframe.summarize(sub)
-        return summary
-    _json_out(_guarded("window", run), report)
+    sub = _load_frame(input_path, region=_load_windows([spec_path])[0])
+    if out:
+        skyframe.write_csv(sub, out)
+    _json_out(skyframe.summarize(sub), report)
 
 
 def _curve_command(kind):
@@ -227,21 +214,12 @@ def _curve_command(kind):
                   help="Output curve CSV (lag,value,count).")
     def run_command(input_path, column, max_dist, bins, sample, seed, degrees,
                     out):
-        def run():
-            nonlocal max_dist
-            if degrees:
-                max_dist = math.radians(max_dist)
-            f = _load_frame(input_path, sample=sample, seed=seed,
-                            columns=[column])
-            if kind == "cov":
-                curve = geostat.empirical_covariance(f, column, max_dist,
-                                                     bins, seed=seed)
-            else:
-                curve = geostat.empirical_variogram(f, column, max_dist,
-                                                    bins, seed=seed)
-            curve.write_csv(out)
-            return {"bins": int(curve.values.size)}
-        _guarded(kind, run)
+        if degrees:
+            max_dist = math.radians(max_dist)
+        f = _load_frame(input_path, sample=sample, seed=seed, columns=[column])
+        estimate = (geostat.empirical_covariance if kind == "cov"
+                    else geostat.empirical_variogram)
+        estimate(f, column, max_dist, bins, seed=seed).write_csv(out)
     return run_command
 
 
@@ -262,12 +240,10 @@ main.command("variogram", help="Empirical variogram curve.")(
 @click.option("-o", "--out", type=click.Path(), help="Write fit JSON here.")
 def fit(curve_path, family, weights, fix_nugget, seed, out):
     """Fit a covariance-family variogram to an empirical curve."""
-    def run():
-        curve = geostat.EmpiricalCurve.read_csv(curve_path)
-        result = geostat.fit_variogram(curve, family, weights=weights,
-                                       fix_nugget=fix_nugget, seed=seed)
-        return result.to_dict()
-    _json_out(_guarded("fit", run), out)
+    curve = geostat.EmpiricalCurve.read_csv(curve_path)
+    result = geostat.fit_variogram(curve, family, weights=weights,
+                                   fix_nugget=fix_nugget, seed=seed)
+    _json_out(result.to_dict(), out)
 
 
 @main.command()
@@ -279,14 +255,12 @@ def fit(curve_path, family, weights, fix_nugget, seed, out):
               help="Output CSV (cos_theta,value).")
 def covps(spectrum_path, lmax, points, out):
     """Covariance estimate from an angular power spectrum CSV."""
-    def run():
-        ps = geostat.read_spectrum_csv(spectrum_path)
-        grid = np.cos(np.linspace(0.0, math.pi, points))
-        cov = geostat.cov_from_power_spectrum(ps, lmax, grid)
-        csvio.write_table(out, ["cos_theta", "value"], [],
-                          [cov.cos_theta, cov.values])
-        return {"lmax": cov.lmax, "diagnostics": cov.diagnostics}
-    _json_out(_guarded("covps", run), None)
+    ps = geostat.read_spectrum_csv(spectrum_path)
+    grid = np.cos(np.linspace(0.0, math.pi, points))
+    cov = geostat.cov_from_power_spectrum(ps, lmax, grid)
+    csvio.write_table(out, ["cos_theta", "value"], [],
+                      [cov.cos_theta, cov.values])
+    _json_out({"lmax": cov.lmax, "diagnostics": cov.diagnostics}, None)
 
 
 @main.command()
@@ -298,11 +272,9 @@ def covps(spectrum_path, lmax, points, out):
               help="Restrict to this window JSON first.")
 def entropy(input_path, column, bins, window_path):
     """Histogram entropy of a column, in bits."""
-    def run():
-        region = _load_windows([window_path])[0] if window_path else None
-        f = _load_frame(input_path, columns=[column], region=region)
-        return {"entropy_bits": geostat.entropy(f, column, bins)}
-    _json_out(_guarded("entropy", run), None)
+    region = _load_windows([window_path])[0] if window_path else None
+    f = _load_frame(input_path, columns=[column], region=region)
+    _json_out({"entropy_bits": geostat.entropy(f, column, bins)}, None)
 
 
 @main.command()
@@ -312,11 +284,9 @@ def entropy(input_path, column, bins, window_path):
 @click.option("--window", "window_path", type=click.Path(), default=None)
 def fmf(input_path, column, alpha, window_path):
     """Excursion-set area: where the column exceeds the threshold."""
-    def run():
-        region = _load_windows([window_path])[0] if window_path else None
-        f = _load_frame(input_path, columns=[column], region=region)
-        return {"area": geostat.first_minkowski(f, column, alpha)}
-    _json_out(_guarded("fmf", run), None)
+    region = _load_windows([window_path])[0] if window_path else None
+    f = _load_frame(input_path, columns=[column], region=region)
+    _json_out({"area": geostat.first_minkowski(f, column, alpha)}, None)
 
 
 @main.command()
@@ -330,12 +300,9 @@ def fmf(input_path, column, alpha, window_path):
               help="Output CSV (q,T).")
 def renyi(input_path, column, qmin, qmax, points, box_level, out):
     """Sample Renyi function on a uniform q grid."""
-    def run():
-        f = _load_frame(input_path, columns=[column])
-        q, t = geostat.renyi_function(f, column, qmin, qmax, points, box_level)
-        csvio.write_table(out, ["q", "T"], [], [q, t])
-        return {"points": len(q)}
-    _guarded("renyi", run)
+    f = _load_frame(input_path, columns=[column])
+    q, t = geostat.renyi_function(f, column, qmin, qmax, points, box_level)
+    csvio.write_table(out, ["q", "T"], [], [q, t])
 
 
 @main.command()
@@ -345,12 +312,10 @@ def renyi(input_path, column, qmin, qmax, points, box_level, out):
               required=True, help="Window JSON per stratum (repeatable).")
 def qstat(input_path, column, strata_paths):
     """Stratified-heterogeneity statistic over disjoint strata."""
-    def run():
-        f = _load_frame(input_path, columns=[column])
-        value = geostat.q_statistic(f, column, _load_windows(strata_paths))
-        return {"q": value if not math.isnan(value) else None,
-                "defined": not math.isnan(value)}
-    _json_out(_guarded("qstat", run), None)
+    f = _load_frame(input_path, columns=[column])
+    value = geostat.q_statistic(f, column, _load_windows(strata_paths))
+    _json_out({"q": value if not math.isnan(value) else None,
+               "defined": not math.isnan(value)}, None)
 
 
 @main.command()
@@ -363,13 +328,10 @@ def qstat(input_path, column, strata_paths):
               help="Output CSV (quantile_a,quantile_b).")
 def qq(input_path, column, window_a, window_b, quantiles, out):
     """Matched quantiles of a column in two regions."""
-    def run():
-        f = _load_frame(input_path, columns=[column])
-        wa, wb = _load_windows([window_a, window_b])
-        qa, qb = geostat.qq_pairs(f, column, wa, wb, quantiles)
-        csvio.write_table(out, ["quantile_a", "quantile_b"], [], [qa, qb])
-        return {"pairs": len(qa)}
-    _guarded("qq", run)
+    f = _load_frame(input_path, columns=[column])
+    wa, wb = _load_windows([window_a, window_b])
+    qa, qb = geostat.qq_pairs(f, column, wa, wb, quantiles)
+    csvio.write_table(out, ["quantile_a", "quantile_b"], [], [qa, qb])
 
 
 @main.command()
@@ -381,15 +343,12 @@ def qq(input_path, column, window_a, window_b, quantiles, out):
               help="Output CSV (axis,center,mean,count).")
 def angdist(input_path, column, theta_bins, phi_bins, out):
     """Angular marginals: per-bin means against colatitude and longitude."""
-    def run():
-        f = _load_frame(input_path, columns=[column])
-        marg = geostat.angular_marginals(f, column, theta_bins, phi_bins)
-        axis = np.repeat(["theta", "phi"], [theta_bins, phi_bins])
-        csvio.write_table(out, ANGDIST_HEADER, [axis],
-                          [np.concatenate([marg["theta"][k], marg["phi"][k]])
-                           for k in ("centers", "mean", "count")])
-        return {"rows": theta_bins + phi_bins}
-    _guarded("angdist", run)
+    f = _load_frame(input_path, columns=[column])
+    marg = geostat.angular_marginals(f, column, theta_bins, phi_bins)
+    axis = np.repeat(["theta", "phi"], [theta_bins, phi_bins])
+    csvio.write_table(out, ANGDIST_HEADER, [axis],
+                      [np.concatenate([marg["theta"][k], marg["phi"][k]])
+                       for k in ("centers", "mean", "count")])
 
 
 @main.command()
@@ -407,41 +366,37 @@ def angdist(input_path, column, theta_bins, phi_bins, out):
               help="Output SVG.")
 def plot(kind, input_path, fit_json, column, sample, seed, out):
     """Render a static SVG chart from a curve/fit/map input."""
-    def run():
-        if kind in ("curve", "fit"):
-            curve = geostat.EmpiricalCurve.read_csv(input_path)
-            series = [(curve.lags, curve.values, "points")]
-            if kind == "fit":
-                if not fit_json:
-                    raise SchemaError("kind=fit needs --fit-json")
-                model = _load_fit_model(fit_json)
-                lags = np.linspace(0, curve.max_dist, 200)
-                series.append((lags, geostat.variogram_model(lags, model),
-                               "dashed"))
-            svg = plotsvg.line_chart(series, xlabel="geodesic lag",
-                                     ylabel="value", title=kind)
-        elif kind == "renyi":
-            q, t = _read_table(input_path, ["q", "T"])
-            svg = plotsvg.line_chart([(q, t, "points")], xlabel="q",
-                                     ylabel="T(q)", title="sample Renyi function")
-        elif kind == "angdist":
-            axis, center, mean, _ = _read_table(input_path, ANGDIST_HEADER,
-                                                (object,))
-            theta = axis == "theta"   # bar_chart drops the NaN means
-            svg = plotsvg.bar_chart(center[theta], mean[theta],
-                                    xlabel="colatitude", ylabel="mean",
-                                    title="angular marginal")
-        else:
-            f = _load_frame(input_path, columns=[column])
-            if sample and sample < len(f):
-                f = skyframe.sample_frame(f, sample, seed)
-            theta, phi = f.angles()
-            svg = plotsvg.sky_chart(np.atleast_1d(theta), np.atleast_1d(phi),
-                                    f.column(column), title="sky view")
-        with open(out, "w") as fh:
-            fh.write(svg)
-        return {"out": out}
-    _guarded("plot", run)
+    if kind in ("curve", "fit"):
+        curve = geostat.EmpiricalCurve.read_csv(input_path)
+        series = [(curve.lags, curve.values, "points")]
+        if kind == "fit":
+            if not fit_json:
+                raise SchemaError("kind=fit needs --fit-json")
+            model = _load_fit_model(fit_json)
+            lags = np.linspace(0, curve.max_dist, 200)
+            series.append((lags, geostat.variogram_model(lags, model),
+                           "dashed"))
+        svg = plotsvg.line_chart(series, xlabel="geodesic lag",
+                                 ylabel="value", title=kind)
+    elif kind == "renyi":
+        q, t = _read_table(input_path, ["q", "T"])
+        svg = plotsvg.line_chart([(q, t, "points")], xlabel="q",
+                                 ylabel="T(q)", title="sample Renyi function")
+    elif kind == "angdist":
+        axis, center, mean, _ = _read_table(input_path, ANGDIST_HEADER,
+                                            (object,))
+        theta = axis == "theta"   # bar_chart drops the NaN means
+        svg = plotsvg.bar_chart(center[theta], mean[theta],
+                                xlabel="colatitude", ylabel="mean",
+                                title="angular marginal")
+    else:
+        f = _load_frame(input_path, columns=[column])
+        if sample and sample < len(f):
+            f = skyframe.sample_frame(f, sample, seed)
+        svg = plotsvg.sky_chart(*f.angles(), f.column(column),
+                                title="sky view")
+    with open(out, "w") as fh:
+        fh.write(svg)
 
 
 @main.command("download")
@@ -457,14 +412,12 @@ def plot(kind, input_path, fit_json, column, sample, seed, out):
 @click.option("-o", "--out", type=click.Path(), required=True)
 def download_cmd(product, foreground, nside, link, config_path, offline, out):
     """Fetch a released map or power-spectrum product."""
-    def run():
-        config = dl.read_config(config_path)
-        if product == "map":
-            dl.download_map(foreground, nside, out, config, offline)
-        else:
-            dl.download_power_spectrum(link, out, config, offline)
-        return {"out": out}
-    _json_out(_guarded("download", run), None)
+    config = dl.read_config(config_path)
+    if product == "map":
+        dl.download_map(foreground, nside, out, config, offline)
+    else:
+        dl.download_power_spectrum(link, out, config, offline)
+    _json_out({"out": out}, None)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ A :class:`SkyFrame` keys every row by a pixel index under one scheme and
 resolution.  Two modes exist: ``cmb`` frames have strictly unique pixel
 keys and derive row coordinates from pixel centers on demand; ``hp``
 frames allow repeated keys (several observations in one pixel) and may
-carry explicit per-row coordinates.
+carry explicit per-row coordinates.  ``SkyFrame.__post_init__`` is the
+one place a frame is checked; readers such as :func:`read_csv` hand it
+what they parse.
 """
 
 import json
@@ -16,7 +18,7 @@ import numpy as np
 from . import healpix
 from .csvio import read_table, write_table
 from .errors import (AddressingError, DomainError, FormatError, SchemaError,
-                     UniquenessError)
+                     SkypixError, UniquenessError)
 from .geom import WindowSet, sph2cart
 from .rng import sample_without_replacement
 
@@ -42,7 +44,10 @@ class SkyFrame:
 
     def __post_init__(self):
         self.pix = np.asarray(self.pix, dtype=np.int64)
-        healpix.Resolution(self.nside)
+        if self.pix.ndim != 1:
+            raise SchemaError("pixel keys must be 1-d, got shape %s"
+                              % (self.pix.shape,))
+        self.nside = healpix.Resolution(self.nside).nside
         if self.scheme not in healpix.SCHEMES:
             raise AddressingError("unknown scheme %r" % self.scheme)
         if self.pix.size and (self.pix.min() < 1
@@ -64,13 +69,15 @@ class SkyFrame:
             self.coords = None
         elif self.mode != HP:
             raise DomainError("mode must be 'cmb' or 'hp'")
+        elif self.coords is not None:
+            self.coords = tuple(np.asarray(c, dtype=np.float64)
+                                for c in self.coords)
+            if [c.shape for c in self.coords] != [self.pix.shape] * 2:
+                raise SchemaError("hp coordinates must hold one (theta, phi) "
+                                  "per row")
 
     def __len__(self):
         return len(self.pix)
-
-    @property
-    def resolution(self):
-        return healpix.Resolution(self.nside)
 
     @property
     def column_names(self):
@@ -284,12 +291,8 @@ def bind_frames(frames, axis="rows"):
             return SkyFrame(pix, first.scheme, first.nside, cols, CMB)
         coords = None
         if have_coords or modes != {CMB}:
-            thetas, phis = [], []
-            for f in frames:
-                t, p = f.angles()
-                thetas.append(np.atleast_1d(t))
-                phis.append(np.atleast_1d(p))
-            coords = (np.concatenate(thetas), np.concatenate(phis))
+            coords = tuple(map(np.concatenate,
+                               zip(*(f.angles() for f in frames))))
         out = SkyFrame(pix, first.scheme, first.nside, cols, HP, coords=coords)
         out.demoted = not unique and modes == {CMB}
         return out
@@ -344,9 +347,7 @@ def _sidecar_path(path):
 def write_csv(frame, path):
     """Write ``pix,theta,phi`` plus data columns at full precision, with a
     JSON metadata sidecar next to the file."""
-    theta, phi = frame.angles()
-    values = [np.atleast_1d(theta), np.atleast_1d(phi)]
-    values += [frame.columns[n] for n in frame.column_names]
+    values = [*frame.angles(), *(frame.columns[n] for n in frame.column_names)]
     write_table(path, ["pix", "theta", "phi"] + frame.column_names,
                 [frame.pix], values)
     meta = {"nside": frame.nside, "ordering": frame.scheme, "mode": frame.mode}
@@ -356,17 +357,15 @@ def write_csv(frame, path):
 
 
 def read_csv(path):
-    """Load a frame written by :func:`write_csv` (sidecar required)."""
+    """Load a frame written by :func:`write_csv` (sidecar required); a
+    sidecar or key the frame rejects raises ``SchemaError`` naming both
+    files."""
     sidecar = _sidecar_path(path)
     try:
         with open(sidecar) as fh:
             meta = json.load(fh)
         scheme, nside = meta["ordering"], meta["nside"]
         mode = meta.get("mode", CMB)
-        if (type(nside) is not int or not healpix.is_valid_nside(nside)
-                or scheme not in healpix.SCHEMES or mode not in (CMB, HP)):
-            raise ValueError("nside %r, ordering %r or mode %r is invalid"
-                             % (nside, scheme, mode))
     except FileNotFoundError:
         raise SchemaError("missing metadata sidecar %s" % sidecar)
     except (ValueError, KeyError, TypeError) as exc:
@@ -379,6 +378,9 @@ def read_csv(path):
 
     header, (pix, theta, phi, *data) = read_table(
         path, check_header, (np.int64,), SchemaError)
-    cols = dict(zip(header[3:], data))
-    coords = (theta, phi) if mode == HP else None
-    return SkyFrame(pix, scheme, nside, cols, mode, coords=coords)
+    try:
+        return SkyFrame(pix, scheme, nside, dict(zip(header[3:], data)), mode,
+                        coords=(theta, phi) if mode == HP else None)
+    except SkypixError as exc:
+        raise SchemaError("frame CSV %s with sidecar %s: %s"
+                          % (path, sidecar, exc))

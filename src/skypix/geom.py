@@ -132,8 +132,9 @@ def extremal_distance(points, target=None, mode="max"):
     if mode not in ("max", "min"):
         raise DomainError("mode must be 'max' or 'min'")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.size == 0 or not np.isfinite(pts).all():
-        raise DomainError("need a non-empty set of finite points")
+    if (pts.size == 0 or not np.isfinite(pts).all()
+            or target is not None and not np.isfinite(target).all()):
+        raise DomainError("need a non-empty set of finite points and target")
     if target is not None:
         d = geodesic_distance(pts, np.asarray(target, dtype=np.float64))
         return float(d.max() if mode == "max" else d.min())
@@ -160,7 +161,8 @@ class Window:
     half-spaces ``(n, h)``, ``x . n >= h``: a disc's center with ``cos r``,
     or a polygon's edge planes (``h = 0``, ``|n|`` the edge's sine), in one
     piece when ``assumed_convex`` (checked on every vertex) and one piece
-    per triangle of :func:`triangulate` otherwise.
+    per triangle of :func:`triangulate` otherwise.  ``base_area`` is the
+    area of the un-complemented shape, steradians.
     """
 
     kind: str
@@ -170,6 +172,7 @@ class Window:
     vertices: tuple = ()
     assumed_convex: bool = False
     pieces: tuple = field(init=False, repr=False, compare=False)
+    base_area: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "disc":
@@ -178,6 +181,7 @@ class Window:
             if not 0.0 < self.r < math.pi:
                 raise GeometryError("disc radius must be in (0, pi)")
             pieces = (((self.center.to_vector(), math.cos(self.r)),),)
+            base_area = 2 * math.pi * (1 - math.cos(self.r))
         elif self.kind == "polygon":
             object.__setattr__(self, "vertices", tuple(self.vertices))
             if len(self.vertices) < 3:
@@ -192,24 +196,20 @@ class Window:
             if self.assumed_convex and np.any(arr @ normals[0].T < -_EDGE_TOL):
                 raise GeometryError("polygon declared convex is not convex")
             pieces = tuple(tuple((n, 0.0) for n in ns) for ns in normals)
+            base_area = sum(spherical_triangle_area(*t) for t in triangles)
         else:
             raise GeometryError("window kind must be 'disc' or 'polygon'")
         object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "base_area", base_area)
 
     # -- geometry ---------------------------------------------------------
 
     def vertex_array(self):
         return np.array([v.to_vector() for v in self.vertices])
 
-    def base_area(self):
-        """Area of the un-complemented shape, steradians."""
-        if self.kind == "disc":
-            return 2 * math.pi * (1 - math.cos(self.r))
-        return sum(spherical_triangle_area(*t) for t in triangulate(self))
-
     def area(self):
         """Analytic window area; 4*pi minus the base area when complemented."""
-        base = self.base_area()
+        base = self.base_area
         return 4 * math.pi - base if self.complement else base
 
     def complemented(self):

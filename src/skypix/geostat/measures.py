@@ -147,8 +147,6 @@ def angular_marginals(frame, column, theta_bins=18, phi_bins=36):
     if theta_bins < 1 or phi_bins < 1:
         raise DomainError("bin counts must be >= 1")
     theta, phi = frame.angles()
-    theta = np.atleast_1d(theta)
-    phi = np.atleast_1d(phi)
     values = np.asarray(frame.column(column), dtype=np.float64)
     out = {}
     for name, angles, nbins, top in (("theta", theta, theta_bins, math.pi),

@@ -90,7 +90,7 @@ def is_valid_nside(nside):
 
 
 def _check_nside(nside):
-    if not isinstance(nside, (int, np.integer)):
+    if not isinstance(nside, (int, np.integer)) or isinstance(nside, bool):
         raise AddressingError("nside must be an integer, got %r" % (nside,))
     nside = int(nside)
     if not is_valid_nside(nside):

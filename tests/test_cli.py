@@ -475,13 +475,15 @@ def fit_inputs(small_map, tmp_path):
     ("sidecar", '{"nside": 0, "ordering": "nested", "mode": "cmb"}', 2),
     ("sidecar", '{"nside": 16, "ordering": "nestd", "mode": "cmb"}', 2),
     ("sidecar", '{"nside": 16, "ordering": "nested", "mode": "xx"}', 2),
+    ("sidecar", '{"nside": true, "ordering": "nested", "mode": "cmb"}', 2),
     ("fit", '{"family": "exponential", "psi": 0.5}', 2),
     ("fit", '{"family": "exponential",', 2),
 ], ids=["spec-truncated", "spec-no-center", "spec-string-theta",
         "spec-not-object", "spec-huge-theta", "spec-radius-domain",
         "spec-self-intersecting", "spec-false-convex", "sidecar-empty",
         "sidecar-truncated", "sidecar-nside-3", "sidecar-nside-0",
-        "sidecar-ordering", "sidecar-mode", "fit-no-sigmasq",
+        "sidecar-ordering", "sidecar-mode", "sidecar-nside-bool",
+        "fit-no-sigmasq",
         "fit-truncated"])
 def test_malformed_json_input_exits_2(runner, small_map, fit_inputs, tmp_path,
                                       kind, text, code):
@@ -497,3 +499,33 @@ def test_malformed_json_input_exits_2(runner, small_map, fit_inputs, tmp_path,
     assert result.exit_code == code
     if code == 2:   # a domain error in a well-formed spec stays exit 4
         assert bad.name in result.output
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("info", "-o"), ("window", "--report"), ("fit", "-o")])
+def test_unwritable_output_exits_2(runner, small_map, fit_inputs, tmp_path,
+                                   command, flag):
+    disc = tmp_path / "disc.json"
+    disc.write_text(json.dumps(geom.disc(0.5, 0.0, 0.3).to_dict()))
+    target = str(tmp_path / "missing" / "out.json")
+    args = {"info": ["info", str(small_map)],
+            "window": ["window", str(small_map), "--spec", str(disc)],
+            "fit": ["fit", str(fit_inputs[1])]}[command]
+    result = runner.invoke(cli.main, args + [flag, target])
+    assert result.exit_code == 2
+    assert result.output.startswith(command + ": ")
+    assert target in result.output
+
+
+@pytest.mark.parametrize("keys", [[0, 5], [5, 13], [3, 3]],
+                         ids=["key-0", "key-above-npix", "repeated-cmb-key"])
+def test_frame_csv_bad_keys_exit_2(runner, tmp_path, keys):
+    path = tmp_path / "f.csv"
+    path.write_text("pix,theta,phi,I\n"
+                    + "".join("%d,1.0,1.0,0.5\n" % k for k in keys))
+    (tmp_path / "f.csv.meta.json").write_text(
+        '{"nside": 1, "ordering": "nested", "mode": "cmb"}')
+    result = runner.invoke(cli.main, ["entropy", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("entropy: ")
+    assert str(path) in result.output

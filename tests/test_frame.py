@@ -82,6 +82,34 @@ def test_column_length_mismatch():
         frame.SkyFrame([1, 2], "nested", 1, {"I": [1.0]})
 
 
+def test_numpy_nside_is_stored_as_int_and_round_trips(tmp_path):
+    f = frame.SkyFrame([1, 5], "nested", np.int64(2), {"I": [0.5, 1.5]})
+    assert type(f.nside) is int
+    frame.write_csv(f, tmp_path / "f.csv")
+    back = frame.read_csv(tmp_path / "f.csv")
+    assert back.nside == 2
+    assert_array_equal(back.pix, f.pix)
+
+
+def test_bool_nside_is_rejected():
+    with pytest.raises(AddressingError):
+        frame.SkyFrame([1], "nested", True)
+
+
+@pytest.mark.parametrize("coords", [
+    ([0.1, 0.2], [0.3]), ([0.1], [0.3]), ([0.1, 0.2],),
+    ([[0.1, 0.2]], [[0.3, 0.4]])],
+    ids=["short-phi", "short-both", "no-phi", "2-d"])
+def test_hp_coords_must_hold_one_pair_per_row(coords):
+    with pytest.raises(SchemaError):
+        frame.SkyFrame([1, 2], "nested", 1, mode=frame.HP, coords=coords)
+
+
+def test_keys_must_be_1d():
+    with pytest.raises(SchemaError):
+        frame.SkyFrame([[1, 2]], "nested", 1)
+
+
 # ---------------------------------------------------------------------------
 # assign_pixels
 

@@ -149,6 +149,8 @@ def test_extremal_distance_errors():
         geom.extremal_distance(np.array([[0, 0, 1.0], [np.nan, 0, 0]]))
     with pytest.raises(DomainError):
         geom.extremal_distance(np.array([[0, 0, 1.0]]), mode="max")
+    with pytest.raises(DomainError):
+        geom.extremal_distance(np.array([[0, 0, 1.0]]), target=[np.nan, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +181,17 @@ def test_quad_area_equals_triangle_sum():
     assert len(tris) == 2
     total = sum(geom.spherical_triangle_area(*t) for t in tris)
     assert_allclose(quad.area(), total, atol=1e-9)
+
+
+def test_polygon_triangulates_once(monkeypatch):
+    calls = []
+    real = geom.triangulate
+    monkeypatch.setattr(geom, "triangulate",
+                        lambda w: calls.append(w) or real(w))
+    tri = geom.polygon([(1.2, 0.1), (1.3, 0.8), (0.7, 0.9)])
+    areas = {tri.area() for _ in range(3)} | {tri.describe()["area"]}
+    assert len(calls) == 1
+    assert len(areas) == 1
 
 
 def test_monte_carlo_area_agreement():
