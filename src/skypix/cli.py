@@ -61,10 +61,8 @@ def _load_frame(path, sample=None, seed=0, columns=None, region=None):
     cut to a window region (a map then reads only the rows inside it)."""
     if str(path).endswith(".csv"):
         f = skyframe.read_csv(path)
-        if columns:
-            missing = [c for c in columns if c not in f.columns]
-            if missing:
-                raise SchemaError("missing columns %s" % missing)
+        for name in columns or ():
+            f.column(name)
         if region is not None:
             f = skyframe.extract_window(f, region)
         _check_sample_size(sample, len(f))

@@ -30,8 +30,8 @@ CARD = 80
 
 # TFORM repeat-1 codes accepted for map columns -> numpy big-endian dtypes
 _TFORM_DTYPES = {"E": ">f4", "J": ">i4", "D": ">f8", "I": ">i2"}
-_DTYPE_TFORMS = {np.dtype("float32"): "E", np.dtype("int32"): "J",
-                 np.dtype("float64"): "D", np.dtype("int16"): "I"}
+_DTYPE_TFORMS = {np.dtype(d).newbyteorder("="): t
+                 for t, d in _TFORM_DTYPES.items()}
 
 
 @dataclass
@@ -101,6 +101,16 @@ def _read_header_blocks(fh):
             return cards, consumed
 
 
+def _int_card(cards, key, default=None, lowest=0):
+    """An integer header card's value, at least ``lowest``; anything else,
+    a missing card without a default included, raises ``FormatError``."""
+    value = cards.get(key, default)
+    if type(value) is not int or value < lowest:
+        raise FormatError("header card %s must hold an integer >= %d, not %r"
+                          % (key, lowest, value))
+    return value
+
+
 def _map_nside(card, row_count):
     """The NSIDE card's value, or with no card the nside whose full sky has
     ``row_count`` rows; either must pass healpix's nside rule."""
@@ -140,11 +150,8 @@ class MapSource:
         return sum(length for _, length in self.payload_reads)
 
     def _row_dtype(self):
-        offsets = np.cumsum([0] + [c.nbytes for c in self.columns])
         return np.dtype({"names": [c.name for c in self.columns],
-                         "formats": [c.dtype for c in self.columns],
-                         "offsets": [int(o) for o in offsets[:-1]],
-                         "itemsize": self.row_bytes})
+                         "formats": [c.dtype for c in self.columns]})
 
     def _check_columns(self, names):
         if names is None:
@@ -227,23 +234,20 @@ def open_map(path):
         if pdict.get("SIMPLE") is not True:
             raise FormatError("not a FITS file (missing SIMPLE = T)")
         # skip any primary data (BITPIX/NAXIS driven); map files carry none
-        naxis = int(pdict.get("NAXIS", 0) or 0)
+        naxis = _int_card(pdict, "NAXIS", 0)
         if naxis:
-            size = abs(int(pdict.get("BITPIX", 8))) // 8
+            # floating-point data has a negative BITPIX
+            size = abs(_int_card(pdict, "BITPIX", 8, lowest=-64)) // 8
             for i in range(1, naxis + 1):
-                size *= int(pdict.get("NAXIS%d" % i, 0) or 0)
+                size *= _int_card(pdict, "NAXIS%d" % i, 0)
             consumed += ((size + BLOCK - 1) // BLOCK) * BLOCK
             fh.seek(consumed)
         ext, ext_bytes = _read_header_blocks(fh)
     edict = dict(ext)
     if str(edict.get("XTENSION", "")).strip() != "BINTABLE":
         raise FormatError("first extension is not a BINTABLE")
-    try:
-        row_bytes = int(edict["NAXIS1"])
-        row_count = int(edict["NAXIS2"])
-        tfields = int(edict["TFIELDS"])
-    except KeyError as missing:
-        raise FormatError("missing required card %s" % missing)
+    row_bytes, row_count, tfields = (_int_card(edict, key) for key in
+                                     ("NAXIS1", "NAXIS2", "TFIELDS"))
     columns = []
     for i in range(1, tfields + 1):
         tform = str(edict.get("TFORM%d" % i, "")).strip()
@@ -253,6 +257,8 @@ def open_map(path):
                                            code not in _TFORM_DTYPES):
             raise FormatError("unsupported TFORM %r (supported: 1E 1J 1D 1I)"
                               % tform)
+        if name in {c.name for c in columns}:
+            raise FormatError("repeated column name %r" % name)
         columns.append(Column(name, code))
     if sum(c.nbytes for c in columns) != row_bytes:
         raise FormatError("NAXIS1 does not match the declared column widths")
@@ -274,14 +280,10 @@ def open_map(path):
 def _format_card(key, value, comment=""):
     if isinstance(value, bool):
         body = "%20s" % ("T" if value else "F")
-    elif isinstance(value, (int, np.integer)):
-        body = "%20d" % value
-    elif isinstance(value, float):
-        body = "%20s" % repr(value)
     elif isinstance(value, str):
         body = "'%-8s'" % value.replace("'", "''")
     else:
-        raise FormatError("unsupported card value %r" % (value,))
+        body = "%20d" % value
     card = "%-8s= %s" % (key[:8], body)
     if comment:
         card += " / " + comment

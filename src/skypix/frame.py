@@ -11,7 +11,7 @@ what they parse.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,8 +48,7 @@ class SkyFrame:
             raise SchemaError("pixel keys must be 1-d, got shape %s"
                               % (self.pix.shape,))
         self.nside = healpix.Resolution(self.nside).nside
-        if self.scheme not in healpix.SCHEMES:
-            raise AddressingError("unknown scheme %r" % self.scheme)
+        healpix._check_scheme(self.scheme)
         if self.pix.size and (self.pix.min() < 1
                               or self.pix.max() > healpix.npix(self.nside)):
             raise AddressingError("pixel index out of range")
@@ -103,16 +102,14 @@ class SkyFrame:
             pix = healpix.ring2nest(self.nside, self.pix)
         else:
             pix = healpix.nest2ring(self.nside, self.pix)
-        return SkyFrame(pix, scheme, self.nside, dict(self.columns), self.mode,
-                        list(self.windows), self.coords, self.demoted)
+        return replace(self, pix=pix, scheme=scheme,
+                       columns=dict(self.columns), windows=list(self.windows))
 
     def take(self, sel):
-        cols = {k: v[sel] for k, v in self.columns.items()}
-        coords = None
-        if self.coords is not None:
-            coords = (self.coords[0][sel], self.coords[1][sel])
-        return SkyFrame(self.pix[sel], self.scheme, self.nside, cols,
-                        self.mode, list(self.windows), coords, self.demoted)
+        coords = self.coords and tuple(c[sel] for c in self.coords)
+        return replace(self, pix=self.pix[sel], windows=list(self.windows),
+                       columns={k: v[sel] for k, v in self.columns.items()},
+                       coords=coords)
 
     def column(self, name):
         if name not in self.columns:
@@ -324,14 +321,9 @@ def _column_stats(values):
 def summarize(frame):
     """Window provenance (kind + analytic area), covered area, and the
     six-number summary of every data column."""
-    windows = []
-    for region in frame.windows:
-        windows.extend(region.describe())
-    if len(frame) == 0:
-        return {"rows": 0, "windows": windows, "covered_area": 0.0,
-                "columns": {}}
+    windows = [w for region in frame.windows for w in region.describe()]
     stats = {name: _column_stats(col) for name, col in frame.columns.items()
-             if np.issubdtype(np.asarray(col).dtype, np.number)}
+             if len(frame) and np.issubdtype(col.dtype, np.number)}
     return {"rows": len(frame), "windows": windows,
             "covered_area": geo_area(frame), "columns": stats,
             "nside": frame.nside, "ordering": frame.scheme, "mode": frame.mode}
@@ -357,9 +349,9 @@ def write_csv(frame, path):
 
 
 def read_csv(path):
-    """Load a frame written by :func:`write_csv` (sidecar required); a
-    sidecar or key the frame rejects raises ``SchemaError`` naming both
-    files."""
+    """Load a frame written by :func:`write_csv` (sidecar required, and
+    checked on an empty frame before the body is parsed); a sidecar or key
+    the frame rejects raises ``SchemaError`` naming both files."""
     sidecar = _sidecar_path(path)
     try:
         with open(sidecar) as fh:
@@ -372,15 +364,19 @@ def read_csv(path):
         raise SchemaError("malformed metadata sidecar %s (%s: %s)"
                           % (sidecar, type(exc).__name__, exc))
 
+    def frame(pix, columns, coords=None):
+        try:
+            return SkyFrame(pix, scheme, nside, columns, mode, coords=coords)
+        except SkypixError as exc:
+            raise SchemaError("frame CSV %s with sidecar %s: %s"
+                              % (path, sidecar, exc))
+
     def check_header(header):
         if header[:3] != ["pix", "theta", "phi"]:
             raise SchemaError("frame CSV must start with pix,theta,phi")
 
+    frame([], {})
     header, (pix, theta, phi, *data) = read_table(
         path, check_header, (np.int64,), SchemaError)
-    try:
-        return SkyFrame(pix, scheme, nside, dict(zip(header[3:], data)), mode,
-                        coords=(theta, phi) if mode == HP else None)
-    except SkypixError as exc:
-        raise SchemaError("frame CSV %s with sidecar %s: %s"
-                          % (path, sidecar, exc))
+    return frame(pix, dict(zip(header[3:], data)),
+                 (theta, phi) if mode == HP else None)

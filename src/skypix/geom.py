@@ -11,8 +11,9 @@ construction; point membership and whole-cap bounds are one loop over the
 pieces, and a :class:`WindowSet` combines them under one set rule.
 """
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -213,7 +214,10 @@ class Window:
         return 4 * math.pi - base if self.complement else base
 
     def complemented(self):
-        return replace(self, complement=not self.complement)
+        """The complement, sharing this window's pieces and base area."""
+        out = copy.copy(self)
+        object.__setattr__(out, "complement", not self.complement)
+        return out
 
     def contains(self, xyz):
         """Membership of unit vectors ``(..., 3)``; boundaries are inside."""

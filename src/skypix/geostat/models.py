@@ -39,6 +39,13 @@ _KAPPA_RULES = {
 FAMILIES = tuple(_KAPPA_RULES)
 
 
+def _kappa_rule(family):
+    if family not in _KAPPA_RULES:
+        raise ParameterError("unknown family %r (choose from %s)"
+                             % (family, ", ".join(FAMILIES)))
+    return _KAPPA_RULES[family]
+
+
 @dataclass(frozen=True)
 class CovarianceModel:
     family: str
@@ -49,10 +56,7 @@ class CovarianceModel:
     nugget: float = 0.0
 
     def __post_init__(self):
-        if self.family not in _KAPPA_RULES:
-            raise ParameterError("unknown family %r (choose from %s)"
-                                 % (self.family, ", ".join(FAMILIES)))
-        uses_kappa, default, kappa_range = _KAPPA_RULES[self.family]
+        uses_kappa, default, kappa_range = _kappa_rule(self.family)
         if uses_kappa and self.kappa is None:
             object.__setattr__(self, "kappa", default)
         if self.sigmasq < 0:
@@ -263,7 +267,7 @@ def fit_variogram(curve, family, weights="equal", fix_nugget=True, seed=0):
     residual evaluations of the four TRF runs plus the polish's simplex
     iterations.
     """
-    uses_kappa, kappa0, _ = _KAPPA_RULES[family]
+    uses_kappa, kappa0, _ = _kappa_rule(family)
     if weights not in _WEIGHTS:
         raise DomainError("weights must be 'equal', 'npairs' or 'cressie'")
     mask = (np.asarray(curve.counts) > 0) & (np.asarray(curve.lags) > 0)

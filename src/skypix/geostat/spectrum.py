@@ -5,15 +5,15 @@ Legendre series
 
     cov(cos T) = (1/4pi) * sum_l (2l+1) * C_l * P_l(cos T),
 
-evaluated here with the three-term recurrence
-``(l+1) P_{l+1}(x) = (2l+1) x P_l(x) - l P_{l-1}(x)``.  Spectra in the
-``D_l`` convention are converted via ``C_l = 2 pi D_l / (l (l+1))`` for
-``l >= 1``; an absent monopole/dipole defaults to zero with a diagnostic.
+evaluated here with numpy's ``legval``.  Spectra in the ``D_l``
+convention are converted via ``C_l = 2 pi D_l / (l (l+1))`` for ``l >= 1``;
+an absent monopole/dipole defaults to zero with a diagnostic.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import legval
 
 from ..csvio import read_table, write_table
 from ..errors import DomainError, FormatError
@@ -86,19 +86,8 @@ class SpectrumCovariance:
 
 
 def legendre_sum(coeffs, x):
-    """``sum_l coeffs[l] * P_l(x)`` by upward recurrence, vectorized in x."""
-    x = np.asarray(x, dtype=np.float64)
-    total = np.full(x.shape, coeffs[0], dtype=np.float64)
-    if len(coeffs) == 1:
-        return total
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    total = total + coeffs[1] * p
-    for l in range(1, len(coeffs) - 1):
-        p_next = ((2 * l + 1) * x * p - l * p_prev) / (l + 1)
-        p_prev, p = p, p_next
-        total += coeffs[l + 1] * p
-    return total
+    """``sum_l coeffs[l] * P_l(x)``, vectorized in x."""
+    return legval(np.asarray(x, dtype=np.float64), coeffs)
 
 
 def cov_from_power_spectrum(ps, lmax, grid):

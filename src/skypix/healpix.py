@@ -144,15 +144,9 @@ class PixelId:
                 % (self.index, 12 * n * n, n))
         object.__setattr__(self, "index", int(self.index))
 
-    @property
-    def resolution(self):
-        return Resolution(self.nside)
-
 
 def npix(nside):
     """Total pixel count ``12 * nside**2``."""
-    if isinstance(nside, Resolution):
-        nside = nside.nside
     return 12 * _check_nside(nside) ** 2
 
 

@@ -45,13 +45,6 @@ def _fmt(v):
     return "%.2f" % v
 
 
-def _ticks(lo, hi, n=6):
-    if hi == lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return raw
-
-
 class _Canvas:
     def __init__(self, width=WIDTH, height=HEIGHT):
         self.width = width
@@ -98,12 +91,12 @@ class _Axes:
                    'stroke="black"/>' % (self.left, self.top,
                                          self.right - self.left,
                                          self.bottom - self.top))
-        for tx in _ticks(self.x0, self.x1):
+        for tx in np.linspace(self.x0, self.x1, 6):
             px = self.px(tx)
             canvas.add('<line x1="%s" y1="%d" x2="%s" y2="%d" stroke="black"/>'
                        % (_fmt(px), self.bottom, _fmt(px), self.bottom + 4))
             canvas.text(px, self.bottom + 18, "%.3g" % tx, size=10)
-        for ty in _ticks(self.y0, self.y1):
+        for ty in np.linspace(self.y0, self.y1, 6):
             py = self.py(ty)
             canvas.add('<line x1="%d" y1="%s" x2="%d" y2="%s" stroke="black"/>'
                        % (self.left - 4, _fmt(py), self.left, _fmt(py)))
@@ -143,10 +136,9 @@ def _limits(series):
 def line_chart(series, xlabel="", ylabel="", title=""):
     """Polyline chart; ``series`` is a list of (x, y, style) where style is
     'line', 'points' or 'dashed'."""
-    cleaned = [(_finite_xy(x, y)[0], _finite_xy(x, y)[1], style)
-               for x, y, style in series]
+    cleaned = [(*_finite_xy(x, y), style) for x, y, style in series]
     canvas = _Canvas()
-    axes = _Axes(canvas, *_limits([(s[0], s[1]) for s in cleaned]),
+    axes = _Axes(canvas, *_limits(cleaned),
                  xlabel=xlabel, ylabel=ylabel, title=title)
     palette = ["#1f4e9c", "#c23b22", "#2e7d32", "#7b1fa2"]
     for k, (x, y, style) in enumerate(cleaned):
@@ -210,11 +202,9 @@ def mollweide_xy(theta, phi):
     return x, y
 
 
-def sky_chart(theta, phi, values=None, title=""):
-    """All-sky scatter in the equal-area elliptical view; values (when
-    given) color points through the 256-stop ramp."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
+def sky_chart(theta, phi, values, title=""):
+    """All-sky scatter in the equal-area elliptical view; values color
+    points through the 256-stop ramp."""
     x, y = mollweide_xy(theta, phi)
     canvas = _Canvas(width=WIDTH, height=WIDTH // 2 + 40)
     cx, cy = WIDTH / 2, (WIDTH // 2 + 40) / 2
@@ -225,15 +215,12 @@ def sky_chart(theta, phi, values=None, title=""):
                                      _fmt(math.sqrt(2) * scale)))
     if title:
         canvas.text(cx, 16, title, size=14)
-    if values is not None:
-        values = np.asarray(values, dtype=np.float64)
-        ramp = color_ramp(256)
-        lo, hi = float(np.nanmin(values)), float(np.nanmax(values))
-        span = hi - lo or 1.0
-        idx = np.clip(((values - lo) / span * 255).astype(int), 0, 255)
-        colors = [_hex(ramp[i]) for i in idx]
-    else:
-        colors = ["#1f4e9c"] * len(x)
+    values = np.asarray(values, dtype=np.float64)
+    ramp = color_ramp(256)
+    lo, hi = float(np.nanmin(values)), float(np.nanmax(values))
+    span = hi - lo or 1.0
+    idx = np.clip(((values - lo) / span * 255).astype(int), 0, 255)
+    colors = [_hex(ramp[i]) for i in idx]
     for xi, yi, color in zip(x, y, colors):
         canvas.add('<circle cx="%s" cy="%s" r="1.50" fill="%s"/>'
                    % (_fmt(cx + xi * scale), _fmt(cy - yi * scale), color))

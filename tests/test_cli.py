@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from skypix import cli, fits, frame, geom
-from skypix.geostat import EmpiricalCurve
+from skypix.geostat import (EmpiricalCurve, empirical_covariance,
+                            empirical_variogram)
 
 
 @pytest.fixture
@@ -529,3 +530,140 @@ def test_frame_csv_bad_keys_exit_2(runner, tmp_path, keys):
     assert result.exit_code == 2
     assert result.output.startswith("entropy: ")
     assert str(path) in result.output
+
+
+# ---------------------------------------------------------------------------
+# commands on frame CSVs give what the same command gives on the map
+
+CURVE_ARGS = [["--max-dist", "1", "--bins", "6"],
+              ["--max-dist", "1", "--bins", "6", "--sample", "500",
+               "--seed", "4"]]
+
+
+@pytest.fixture
+def frame_csvs(runner, small_map, tmp_path):
+    """A sample CSV holding every row of the map, a window CSV cut by
+    ``north.json``, and two disjoint strata inside that window."""
+    specs = {"north": geom.disc(0, 0, 1.2), "cap": geom.disc(0, 0, 0.5),
+             "spot": geom.disc(0.9, 0, 0.25)}
+    for name, region in specs.items():
+        (tmp_path / (name + ".json")).write_text(json.dumps(region.to_dict()))
+    whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
+    spec = tmp_path / "north.json"
+    for args in (["sample", small_map, "--size", "3072", "-o", whole],
+                 ["window", small_map, "--spec", spec, "-o", cut]):
+        assert invoke(runner, [str(a) for a in args]).exit_code == 0
+    return whole, cut
+
+
+def run(runner, args, out=None):
+    """Exit code, stdout and the bytes of ``out`` of one command."""
+    result = invoke(runner, [str(a) for a in args]
+                    + (["-o", str(out)] if out else []))
+    return result.exit_code, result.output, out and out.read_bytes()
+
+
+@pytest.mark.parametrize("args", CURVE_ARGS, ids=["all-rows", "sampled"])
+@pytest.mark.parametrize("command", ["variogram", "cov"])
+def test_curve_on_sample_csv_equals_map(runner, small_map, frame_csvs,
+                                        tmp_path, command, args):
+    on_map = run(runner, [command, small_map, *args], tmp_path / "a.csv")
+    on_csv = run(runner, [command, frame_csvs[0], *args], tmp_path / "b.csv")
+    assert on_map[0] == 0
+    assert on_csv == on_map
+
+
+@pytest.mark.parametrize("args", CURVE_ARGS, ids=["all-rows", "sampled"])
+@pytest.mark.parametrize("command", ["variogram", "cov"])
+def test_curve_on_window_csv_equals_map_window(runner, small_map, frame_csvs,
+                                               tmp_path, command, args):
+    region = geom.WindowSet.from_spec(
+        json.loads((tmp_path / "north.json").read_text()))
+    f = frame.extract_window(frame.frame_from_map(fits.open_map(small_map)),
+                             region)
+    if "--sample" in args:
+        f = frame.sample_frame(f, 500, 4)
+    estimate = (empirical_covariance if command == "cov"
+                else empirical_variogram)
+    estimate(f, "I", 1.0, 6, seed=4 if "--sample" in args else 0).write_csv(
+        tmp_path / "a.csv")
+    code, _, got = run(runner, [command, frame_csvs[1], *args],
+                       tmp_path / "b.csv")
+    assert code == 0
+    assert got == (tmp_path / "a.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, args, window_args", [
+    ("entropy", ["--bins", "16"], ["--window", "north.json"]),
+    ("qstat", ["--strata", "cap.json", "--strata", "spot.json"], []),
+    ("window", ["--spec", "north.json"], []),
+])
+def test_commands_on_frame_csvs_equal_map(runner, small_map, frame_csvs,
+                                          tmp_path, monkeypatch, command,
+                                          args, window_args):
+    """On the sample CSV a command gives what it gives on the map; on the
+    window CSV, what it gives on the map cut by the same window (qstat's
+    strata and the window spec lie inside that window already)."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.csv" if command == "window" else None
+
+    def output(path, extra=()):
+        return run(runner, [command, path, *args, *extra], out)
+
+    on_map = output(small_map)
+    assert on_map[0] == 0
+    assert output(frame_csvs[0]) == on_map
+    assert output(frame_csvs[1]) == output(small_map, window_args)
+
+
+def test_missing_csv_column_exits_2(runner, frame_csvs):
+    result = runner.invoke(cli.main, ["entropy", str(frame_csvs[0]),
+                                      "--column", "Z"])
+    assert result.exit_code == 2
+    assert result.output.startswith("entropy: ") and "'Z'" in result.output
+
+
+def test_plot_fit_overlays_the_fit(runner, small_map, tmp_path):
+    curve, fit_json, svg = (tmp_path / n for n in ("v.csv", "f.json", "p.svg"))
+    invoke(runner, ["variogram", str(small_map), "--max-dist", "1",
+                    "--bins", "8", "-o", str(curve)])
+    invoke(runner, ["fit", str(curve), "--family", "exponential",
+                    "-o", str(fit_json)])
+    result = invoke(runner, ["plot", "fit", str(curve), "--fit-json",
+                             str(fit_json), "-o", str(svg)])
+    assert result.exit_code == 0
+    text = svg.read_text()
+    assert text.count("<circle") == 8
+    assert text.count('stroke-dasharray="6 4"') == 1
+    result = runner.invoke(cli.main, ["plot", "fit", str(curve),
+                                      "-o", str(svg)])
+    assert result.exit_code == 2
+    assert "--fit-json" in result.output
+
+
+def _recard(blob, key, value, start=0):
+    """``blob`` with the first card ``key`` at or after ``start`` given the
+    raw value text ``value``."""
+    pos = blob.index(key.ljust(8).encode() + b"= ", start)
+    card = ("%-8s= %-20s" % (key, value)).encode()
+    return blob[:pos] + card + blob[pos + len(card):]
+
+
+@pytest.mark.parametrize("key, value, ext", [
+    ("NAXIS1", "'abc'", True),
+    ("NAXIS", "'x'", False),
+    ("NAXIS2", "-12", True),
+    ("TTYPE2", "'I'", True),
+], ids=["naxis1-string", "primary-naxis-string", "naxis2-negative",
+        "repeated-column"])
+def test_malformed_header_card_exits_2(runner, tmp_path, key, value, ext):
+    path = tmp_path / "m.fits"
+    fits.write_map(path, {"I": np.zeros(12, np.float32),
+                          "Q": np.zeros(12, np.float32)}, nside=1)
+    blob = path.read_bytes()
+    path.write_bytes(_recard(blob, key, value, fits.BLOCK if ext else 0))
+    for command in ("info", "entropy"):
+        result = runner.invoke(cli.main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith(command + ": ")
+        assert ("'I'" if key == "TTYPE2" else key) in result.output

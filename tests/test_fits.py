@@ -298,6 +298,30 @@ def test_open_rejects_missing_bintable(tmp_path):
         fits.open_map(path)
 
 
+def test_primary_data_is_skipped(tmp_path, small_map):
+    # 1000 float32 values (BITPIX -32) fill two blocks before the table
+    cards = [("SIMPLE", True), ("BITPIX", -32), ("NAXIS", 1), ("NAXIS1", 1000)]
+    header = "".join([fits._format_card(*c) for c in cards]) + "END".ljust(80)
+    path = tmp_path / "primary_data.fits"
+    path.write_bytes(fits._pad_block(header.encode("ascii"))
+                     + fits._pad_block(b"\x01" * 4000)
+                     + small_map.read_bytes()[fits.BLOCK:])
+    src, plain = fits.open_map(path), fits.open_map(small_map)
+    assert src.data_start == plain.data_start + 2 * fits.BLOCK
+    assert_array_equal(src.read_all()["I"], plain.read_all()["I"])
+
+
+def test_empty_column_name_reads_back(tmp_path, small_map):
+    blob = small_map.read_bytes()
+    named = b"TTYPE1  = 'I       '"
+    assert named in blob
+    path = tmp_path / "unnamed.fits"
+    path.write_bytes(blob.replace(named, b"TTYPE1  = ''".ljust(len(named)), 1))
+    out = fits.open_map(path).read_all()
+    assert list(out) == ["", "TMASK"]
+    assert_array_equal(out[""], np.arange(1, 13))
+
+
 def test_open_rejects_truncated_header(tmp_path):
     path = tmp_path / "trunc.fits"
     path.write_bytes(b"SIMPLE  =                    T")

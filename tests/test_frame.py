@@ -482,6 +482,15 @@ def test_csv_requires_sidecar(tmp_path):
         frame.read_csv(path)
 
 
+def test_csv_sidecar_is_checked_before_the_body(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("pix,theta,phi,I\n1,1.0,1.0,0.5x\n")
+    (tmp_path / "x.csv.meta.json").write_text(
+        '{"nside": 3, "ordering": "nested", "mode": "cmb"}')
+    with pytest.raises(SchemaError, match="x.csv.meta.json.*power of two"):
+        frame.read_csv(path)
+
+
 def test_hp_csv_round_trip_keeps_coords(tmp_path):
     theta = np.array([0.01, 0.012])
     phi = np.array([0.0, 0.1])

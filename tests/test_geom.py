@@ -192,6 +192,13 @@ def test_polygon_triangulates_once(monkeypatch):
     areas = {tri.area() for _ in range(3)} | {tri.describe()["area"]}
     assert len(calls) == 1
     assert len(areas) == 1
+    # the complement shares the triangulated pieces
+    rest = tri.complemented()
+    assert len(calls) == 1
+    assert rest.complement and rest.area() == 4 * math.pi - tri.area()
+    assert rest.complemented() == tri
+    pts = geom.sph2cart(np.linspace(0.5, 1.5, 50), np.linspace(0, 1, 50))
+    assert np.array_equal(rest.contains(pts), ~tri.contains(pts))
 
 
 def test_monte_carlo_area_agreement():

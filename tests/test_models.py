@@ -119,6 +119,13 @@ def test_gencauchy_kappa2_default_and_domain():
 # ---------------------------------------------------------------------------
 # fitting
 
+
+def test_fit_unknown_family_names_the_families():
+    lags = np.linspace(0.1, 1.0, 10)
+    curve = EmpiricalCurve(lags, 1 - np.exp(-lags), np.full(10, 5.0), 1.0, 10)
+    with pytest.raises(ParameterError, match="bogus.*matern"):
+        fit_variogram(curve, "bogus")
+
 def synth_curve(model, n_lags=30, max_dist=None, noise=0.0, seed=0):
     max_dist = max_dist or math.pi
     lags = (np.arange(1, n_lags + 1) - 0.5) * (max_dist / n_lags)

@@ -91,6 +91,29 @@ def test_spectrum_validation():
         PowerSpectrum([0], [0.5], convention="E_l")
 
 
+def recurrence_sum(coeffs, x):
+    """``sum_l coeffs[l] * P_l(x)`` by the upward three-term recurrence
+    ``(l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}``."""
+    p_prev, p = np.ones_like(x), x
+    total = coeffs[0] + coeffs[1] * x
+    for l in range(1, len(coeffs) - 1):
+        p_prev, p = p, ((2 * l + 1) * x * p - l * p_prev) / (l + 1)
+        total = total + coeffs[l + 1] * p
+    return total
+
+
+@pytest.mark.parametrize("power", [0.0, 2.0], ids=["flat", "decaying"])
+def test_legendre_sum_matches_the_recurrence(power):
+    # rounding in either evaluation grows at most with the square of the
+    # number of terms
+    ell = np.arange(501)
+    coeffs = (2 * ell + 1) / (4 * np.pi) / (1.0 + ell) ** power
+    x = np.cos(np.linspace(0, np.pi, 1001))
+    ref = recurrence_sum(coeffs, x)
+    tol = ell.size ** 2 * np.finfo(np.float64).eps * np.abs(ref).max()
+    assert np.abs(legendre_sum(coeffs, x) - ref).max() <= tol
+
+
 def test_legendre_sum_low_order_exact():
     x = np.linspace(-1, 1, 9)
     assert_allclose(legendre_sum([2.0], x), 2.0)
