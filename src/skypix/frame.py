@@ -74,6 +74,10 @@ class SkyFrame:
             if [c.shape for c in self.coords] != [self.pix.shape] * 2:
                 raise SchemaError("hp coordinates must hold one (theta, phi) "
                                   "per row")
+            theta, phi = self.coords
+            if not (np.all((theta >= 0) & (theta <= math.pi))
+                    and np.isfinite(phi).all()):
+                raise SchemaError("hp theta must be in [0, pi], phi finite")
 
     def __len__(self):
         return len(self.pix)

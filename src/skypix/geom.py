@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, FormatError, GeometryError
 
@@ -141,6 +140,7 @@ def extremal_distance(points, target=None, mode="max"):
         return float(d.max() if mode == "max" else d.min())
     if len(pts) < 2:
         raise DomainError("pairwise mode needs at least two points")
+    from scipy.spatial import cKDTree
     tree = cKDTree(pts)
     if mode == "min":
         return 2 * math.asin(min(tree.query(pts, k=2)[0][:, 1].min() / 2, 1))

@@ -10,27 +10,25 @@ so ``bins=10`` yields 11 values.  The variogram estimator is the classical
 and reports only the positive-lag bins.  The covariance subtracts the
 global sample mean.
 
-Pairs are exact within ``max_dist``: a k-d tree over the unit vectors
-yields, block pair by block pair, only the pairs whose chord can put them in
-range.  The budget (``pair_budget``, default ``PAIR_BUDGET``) caps the pairs
-in range: above it, as many seeded uniform pair draws (with replacement)
-stand in, with counts rescaled to all n(n-1)/2 pairs.  Both paths bin their
-pairs in one loop, ``_SLICE`` at most at a time, so memory stays bounded.
+Pairs are found in one way: a k-d tree over the unit vectors of a row set
+yields, block pair by block pair, only the pairs whose chord can put them
+in range, and each block pair is binned before the next.  The row set is
+the whole frame when at most ``pair_budget`` (default ``PAIR_BUDGET``)
+pairs are in range, and otherwise a seeded row subsample, drawn as
+``frame.sample_frame`` draws rows, whose counts are rescaled to all n rows.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..csvio import read_table, write_table
 from ..errors import DomainError, FormatError
-from ..rng import numpy_generator
+from ..rng import sample_without_replacement
 
 PAIR_BUDGET = 50_000_000
-_BLOCK = 256       # rows per k-d tree block of the exact pass, at most
-_SLICE = 1 << 20   # pairs binned at once, at most
+_BLOCK = 256       # rows per k-d tree block, at most
 
 
 @dataclass
@@ -94,39 +92,48 @@ def _blocks(tree):
     return ranges
 
 
-def _bounding_spheres(pos, ranges):
-    """Center and chord radius enclosing the rows of each range."""
+def _layout(xyz):
+    """A k-d tree over ``xyz``, its rows in tree order, its blocks, and the
+    center and chord radius of a sphere enclosing each block's rows."""
+    from scipy.spatial import cKDTree
+    tree = cKDTree(xyz)
+    pos = xyz[tree.indices]
+    ranges = _blocks(tree)
     centers = np.array([pos[lo:hi].mean(axis=0) for lo, hi in ranges])
     radii = np.array([np.linalg.norm(pos[lo:hi] - c, axis=1).max()
                       for (lo, hi), c in zip(ranges, centers)])
-    return centers, radii
+    return tree, pos, ranges, centers, radii
 
 
-def _surely_in_range(ranges, centers, radii, max_dist):
-    """Pairs certain to lie at lag <= max_dist, zero lags included: those
-    of every block pair whose bounding spheres fit within the chord of
-    ``max_dist - 1e-6``, a margin rounding cannot cross.  At
-    ``max_dist = pi`` every pair qualifies."""
-    reach = (math.inf if max_dist >= math.pi
-             else 2 * math.sin(max(max_dist - 1e-6, 0.0) / 2))
-    sizes = np.array([hi - lo for lo, hi in ranges])
-    total = 0
-    for a in range(len(ranges)):
-        gap = np.linalg.norm(centers[a + 1:] - centers[a], axis=1)
-        close = gap + radii[a] + radii[a + 1:] <= reach
-        total += int(sizes[a] * sizes[a + 1:][close].sum())
-        if 2 * radii[a] <= reach:
-            total += int(sizes[a] * (sizes[a] - 1) // 2)
-    return total
+def _pair_bounds(ranges, centers, radii, max_dist):
+    """Bounds ``(lower, upper)`` on the row pairs within ``max_dist``, zero
+    lags included: those of the block pairs whose centers are closer than
+    the chord of ``max_dist - 1e-6`` (a margin rounding cannot cross) less
+    twice the largest block radius, or the chord of ``max_dist`` plus it."""
+    from scipy.spatial import cKDTree
+    sizes = np.array([hi - lo for lo, hi in ranges], dtype=np.float64)
+    rim = 2 * radii.max()
+    near = (math.inf if max_dist >= math.pi   # every pair is in range
+            else 2 * math.sin(max(max_dist - 1e-6, 0.0) / 2) - rim)
+    tree = cKDTree(centers)
+    # ordered block pairs, each block with itself too, so n of the row
+    # pairs weighed in are a row with itself; scipy counts pairs at a
+    # negative radius as at its absolute value, so none is passed
+    ordered = tree.count_neighbors(tree, [max(near, 0.0), 2 * math.sin(
+        max_dist / 2) * (1 + 1e-9) + rim], weights=sizes)
+    lower, upper = (int(w - sizes.sum()) // 2 for w in ordered)
+    return (lower if near >= 0 else 0), upper
 
 
 def _pairs_within(pos, ranges, centers, radii, max_dist):
-    """Yield ``(i, j)`` row arrays holding, once each, every pair of rows
-    of ``pos`` whose chord may put it within ``max_dist``, one block pair
-    (at most ``_BLOCK**2`` pairs) at a time."""
+    """Yield ``(done, i, j)``: row arrays ``i``, ``j`` holding, once each,
+    every pair of rows of ``pos`` whose chord may put it within
+    ``max_dist``, one block pair (at most ``_BLOCK**2`` pairs) at a time,
+    and the rows ``done`` of the blocks entered so far."""
+    from scipy.spatial import cKDTree
     chord = 2 * math.sin(max_dist / 2) * (1 + 1e-9)
     trees = [cKDTree(pos[lo:hi]) for lo, hi in ranges]
-    for a, (lo, _) in enumerate(ranges):
+    for a, (lo, hi) in enumerate(ranges):
         gap = np.linalg.norm(centers[a:] - centers[a], axis=1)
         for b in a + np.flatnonzero(gap - radii[a] - radii[a:] <= chord):
             m = trees[a].sparse_distance_matrix(trees[b], chord,
@@ -135,22 +142,7 @@ def _pairs_within(pos, ranges, centers, radii, max_dist):
             if a == b:
                 upper = j > i
                 i, j = i[upper], j[upper]
-            yield lo + i, ranges[b][0] + j
-
-
-def _pair_draws(n, m, seed):
-    """Yield the pairs i < j of ``m`` seeded uniform row draws of i and of j,
-    ``_SLICE`` draws at a time; j continues the stream of i, as if both
-    were drawn whole, from a second generator moved past the i draws."""
-    gen_i, gen_j = numpy_generator(seed), numpy_generator(seed)
-    sizes = [min(_SLICE, m - lo) for lo in range(0, m, _SLICE)]
-    for size in sizes:
-        gen_j.integers(0, n, size=size)
-    for size in sizes:
-        i, j = gen_i.integers(0, n, size=size), gen_j.integers(0, n, size=size)
-        keep = i < j
-        i, j = i[keep], j[keep]   # the whole slice is freed before binning
-        yield i, j
+            yield hi, lo + i, ranges[b][0] + j
 
 
 def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
@@ -158,9 +150,12 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
     values, mode 'vario' sums squared differences.  Returns the field, the
     sums, the pair counts binned and their scale to the pair population.
 
-    Every pair in range is binned when at most ``pair_budget`` are;
-    otherwise a seeded uniform subsample of ``pair_budget`` draws (pairs
-    with i < j kept) stands in and counts scale to all n(n-1)/2 pairs."""
+    Every pair in range of a row set is binned: the whole frame when at
+    most ``pair_budget`` pairs are in range, otherwise the seeded sample
+    of s rows that ``frame.sample_frame`` would draw, with counts scaled by
+    n(n-1)/(s(s-1)).  The field is centered over all n rows.  When the
+    bounds on the pairs in range put them surely over the budget, s starts
+    at n * sqrt(budget / upper bound) without trying the whole frame."""
     if not 0 < max_dist <= math.pi:
         raise DomainError("max_dist must be in (0, pi]")
     if bins < 1:
@@ -176,12 +171,24 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
     field = values - values.mean() if mode == "cov" else values
     sums, counts = np.zeros(bins), np.zeros(bins)
 
-    def bin_pairs(pos, fld, pairs, limit=math.inf):
-        """Bin a stream of ``(i, j)`` row arrays in order; return the pairs it
-        held, or None once more than ``limit`` pairs were in range."""
-        held = binned = 0
-        for a, b in pairs:
-            held += len(a)
+    # Pairs are found on rows in k-d tree order, where every block is a
+    # contiguous, spatially compact slice.
+    tree, pos, ranges, centers, radii = _layout(xyz)
+    lower, upper = _pair_bounds(ranges, centers, radii, max_dist)
+    if lower > pair_budget:
+        # rows closer than 1e-7 may sit at lag zero, outside every bin
+        lower -= (tree.count_neighbors(tree, 1e-7) - n) // 2
+    s, order = n, tree.indices
+    if lower > pair_budget:
+        s = max(2, int(n * math.sqrt(pair_budget / upper)))
+    while True:
+        if s < n:
+            rows = sample_without_replacement(n, s, seed) - 1
+            tree, pos, ranges, centers, radii = _layout(xyz[rows])
+            order = rows[tree.indices]
+        fld, binned = field[order], 0
+        for done, a, b in _pairs_within(pos, ranges, centers, radii,
+                                        max_dist):
             d = np.einsum("ij,ij->i", pos.take(a, axis=0), pos.take(b, axis=0))
             np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
             # a self dot product may round below 1: coincident rows sit at
@@ -195,34 +202,20 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
             if not inside.all():
                 a, b, d = a[inside], b[inside], d[inside]
             binned += len(d)
-            if binned > limit:
-                return None
+            if binned > pair_budget:
+                break
             fa, fb = fld.take(a), fld.take(b)
             prod = fa * fb if mode == "cov" else (fa - fb) ** 2
             idx = np.ceil(d / width).astype(np.int64) - 1   # >= 0 as d > 0
             np.minimum(idx, bins - 1, out=idx)
             np.add.at(sums, idx, prod)
             np.add.at(counts, idx, 1.0)
-            del a, b, d, fa, fb, prod, idx   # free the slice before the next
-        return held
-
-    # The exact pass runs on rows in k-d tree order, where every block is
-    # a contiguous, spatially compact slice.
-    tree = cKDTree(xyz)
-    ranges = _blocks(tree)
-    pos, fld = xyz[tree.indices], field[tree.indices]
-    centers, radii = _bounding_spheres(pos, ranges)
-    surely = _surely_in_range(ranges, centers, radii, max_dist)
-    if surely > pair_budget:
-        # rows closer than 1e-7 may sit at lag zero, outside every bin
-        surely -= (tree.count_neighbors(tree, 1e-7) - n) // 2
-    if surely <= pair_budget and bin_pairs(pos, fld, _pairs_within(
-            pos, ranges, centers, radii, max_dist), pair_budget) is not None:
-        return field, sums, counts, 1
-    sums[:] = counts[:] = 0.0
-    kept = bin_pairs(xyz, field, _pair_draws(n, int(pair_budget), seed))
-    # no draw kept: every bin is empty, as when no pair is in range
-    return field, sums, counts, n * (n - 1) // 2 / kept if kept else 0
+        else:
+            return field, sums, counts, n * (n - 1) / (s * (s - 1))
+        # over the budget: shrink s by the square root of the budget over
+        # the pairs this attempt was heading for, and draw the rows anew
+        sums[:] = counts[:] = 0.0
+        s = max(2, int(math.sqrt(s * pair_budget * done / binned)))
 
 
 def empirical_covariance(frame, column, max_dist, bins, pair_budget=PAIR_BUDGET,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy import optimize, special
 
 from ..errors import DomainError, ParameterError
 from ..rng import numpy_generator
@@ -104,6 +103,7 @@ def _matern_rho(t, kappa):
     if kappa >= _DEBYE_KAPPA:
         out[pos] = _matern_debye(tp, kappa)
         return out
+    from scipy import special
     with np.errstate(all="ignore"):
         rho = (2.0 ** (1.0 - kappa) / special.gamma(kappa)
                * tp ** kappa * special.kv(kappa, tp))
@@ -267,6 +267,7 @@ def fit_variogram(curve, family, weights="equal", fix_nugget=True, seed=0):
     residual evaluations of the four TRF runs plus the polish's simplex
     iterations.
     """
+    from scipy import optimize
     uses_kappa, kappa0, _ = _kappa_rule(family)
     if weights not in _WEIGHTS:
         raise DomainError("weights must be 'equal', 'npairs' or 'cressie'")

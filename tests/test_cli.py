@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import skypix
 from skypix import cli, fits, frame, geom
 from skypix.geostat import (EmpiricalCurve, empirical_covariance,
                             empirical_variogram)
@@ -28,6 +32,18 @@ def small_map(tmp_path):
 def invoke(runner, args):
     result = runner.invoke(cli.main, args, catch_exceptions=False)
     return result
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the functions that use it, not at start-up
+    src = os.path.dirname(os.path.dirname(skypix.__file__))
+    code = "import json, sys, skypix.cli; print(json.dumps(list(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, cwd=src,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    modules = json.loads(out)
+    assert "skypix.cli" in modules
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
 
 
 def test_info_reports_header(runner, small_map):
@@ -621,6 +637,30 @@ def test_missing_csv_column_exits_2(runner, frame_csvs):
                                       "--column", "Z"])
     assert result.exit_code == 2
     assert result.output.startswith("entropy: ") and "'Z'" in result.output
+
+
+@pytest.mark.parametrize("cell, text", [(1, "4.0"), (2, "nan")],
+                         ids=["theta-4", "phi-nan"])
+def test_hp_csv_coordinate_out_of_range_exits_2(runner, tmp_path, cell, text):
+    rng = np.random.default_rng(3)
+    f = frame.assign_pixels(rng.uniform(0.2, 2.9, 30), rng.uniform(0, 6, 30),
+                            {"I": rng.normal(size=30)}, 4)
+    path = tmp_path / "hp.csv"
+    frame.write_csv(f, path)
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    row[cell] = text
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    spec = tmp_path / "disc.json"
+    spec.write_text(json.dumps(geom.disc(0, 0, 3.0).to_dict()))
+    for args in (["variogram", "--max-dist", "1", "-o", "v.csv"],
+                 ["angdist", "-o", "a.csv"],
+                 ["window", "--spec", str(spec), "-o", "w.csv"]):
+        result = runner.invoke(cli.main, [args[0], str(path), *args[1:]])
+        assert result.exit_code == 2
+        assert result.output.startswith(args[0] + ": ")
+        assert "theta" in result.output
 
 
 def test_plot_fit_overlays_the_fit(runner, small_map, tmp_path):

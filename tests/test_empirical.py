@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 import skypix as sp
 from skypix import frame
 from skypix.errors import DomainError, FormatError
-from skypix.geostat import (EmpiricalCurve, empirical_covariance,
-                            empirical_variogram)
+from skypix.geostat import (EmpiricalCurve, empirical,
+                            empirical_covariance, empirical_variogram)
+from skypix.rng import sample_without_replacement
 
 
 def brute_curves(xyz, values, max_dist, bins):
@@ -220,15 +221,15 @@ def test_coincident_rows_sit_at_lag_zero_in_any_direction():
 
 
 # sha256 of (values, counts) of both curves on sampled_frame() at max_dist
-# pi, 12 bins, 3 * 2**20 + 1 draws and seed 7, as recorded when the sampled
-# path drew its whole budget at once
+# pi, 12 bins, a budget of 3 * 2**20 + 1 pairs and seed 7, as recorded when
+# the sampled path binned every pair of a seeded row subsample
 SAMPLED_SHA256 = {
     "empirical_variogram": (
-        "9fbab6541ec02416c4d907dd908300ca68ee7c15514250b09ebde161a1646c3f",
-        "7594a99b1d9f19fb5951a17fa63f7eb42433027f1687d538756c723b898ecc69"),
+        "f0214ac27956c058ea6fa716e5a9c36a2db0aa98214a5a980c39ee3fa22827f3",
+        "c063a76cff2e88db54453c0e6ea17fe8239c476d68e8d6b1c82cbcab92cab3af"),
     "empirical_covariance": (
-        "e17da67b5aa85b1805bdf939fd3260f981c12d125fe155218e8e9850571918b6",
-        "76f2e8d14e71fff713edb2448df14509bf636ea2822fb5b6a343d166600002d4"),
+        "6f9f9a1ac3e1c0fb928efbbecc22e70c9ea64075a82e594e48f49fddb1511660",
+        "fc593f6b7f523d750d2607ba09e5585acfaacc9197ed1023096ba92e46957dc7"),
 }
 
 
@@ -241,8 +242,8 @@ def sampled_frame(nside=16):
 @pytest.mark.parametrize("estimator", [empirical_variogram,
                                        empirical_covariance])
 def test_sampled_curves_are_pinned(estimator):
-    # 3,072 rows make 4.7M pairs in range, over the budget: its draws span
-    # four slices of the sampled path, which must not move a single bit
+    # 3,072 rows make 4.7M pairs in range, over the budget: the pairs of a
+    # seeded row subsample stand in, and must not move a single bit
     curve = estimator(sampled_frame(), "I", math.pi, 12,
                       pair_budget=3 * 2**20 + 1, seed=7)
     assert (hashlib.sha256(curve.values.tobytes()).hexdigest(),
@@ -251,8 +252,8 @@ def test_sampled_curves_are_pinned(estimator):
 
 
 def test_sampled_path_memory_is_bounded():
-    # 8M draws of each row index are 128 MB of int64 when drawn whole; in
-    # slices the whole estimate stays well under half of that
+    # 8M pairs of a row subsample, binned a block pair at a time: the
+    # whole estimate stays well under 64 MB
     f = sampled_frame(32)
     tracemalloc.start()
     try:
@@ -275,17 +276,55 @@ def test_pair_budget_below_one_raises(estimator):
             estimator(f, "I", math.pi, 4, pair_budget=budget)
 
 
-def test_pair_budget_keeping_no_draw_gives_empty_bins():
-    # with seed 0, none of the first three draws on 48 rows has i < j
-    f = frame.full_frame(2, columns={"I": np.arange(48.0)})
-    for budget in (1, 2, 3):
-        vario = empirical_variogram(f, "I", math.pi, 4, pair_budget=budget)
-        assert_array_equal(vario.counts, np.zeros(4))
-        assert np.all(np.isnan(vario.values))
-        cov = empirical_covariance(f, "I", math.pi, 4, pair_budget=budget)
-        assert_array_equal(cov.counts, [48, 0, 0, 0, 0])
-        assert cov.values[0] == np.var(np.arange(48.0))
-        assert np.all(np.isnan(cov.values[1:]))
+def test_pair_budget_of_one_bins_one_pair_of_two_rows():
+    # 1,128 pairs of 48 rows are in range at pi: a budget of 1 leaves two
+    # sampled rows, whose one pair stands for all of them
+    values = np.arange(48.0)
+    f = frame.full_frame(2, columns={"I": values})
+    i, j = sample_without_replacement(48, 2, 0) - 1
+    vario = empirical_variogram(f, "I", math.pi, 4, pair_budget=1)
+    assert_array_equal(vario.counts, [1128, 0, 0, 0])
+    assert vario.values[0] == (values[i] - values[j]) ** 2 / 2
+    cov = empirical_covariance(f, "I", math.pi, 4, pair_budget=1)
+    assert_array_equal(cov.counts, [48, 1128, 0, 0, 0])
+    # centered over all 48 rows, not over the two sampled
+    centered = values - values.mean()
+    assert cov.values[0] == np.var(values)
+    assert cov.values[1] == centered[i] * centered[j]
+    assert np.all(np.isnan(cov.values[2:]))
+
+
+@pytest.mark.parametrize("budget, first_rows", [
+    (1_000_000, "sample"), (3_000_000, "whole")],
+    ids=["bound-over-budget", "attempt-over-budget"])
+def test_sampled_variogram_within_noise_of_exact(monkeypatch, budget,
+                                                 first_rows):
+    # 10.1M of the pairs of 12,288 rows lie within 0.75 rad.  Their lower
+    # bound (1.17M, the pairs within each block) is over the first budget,
+    # so a subsample is drawn at once; it is under the second, so the whole
+    # frame is tried first.  A bin of m pairs among s rows of unit white
+    # noise has a standard deviation of about sqrt(2/m + 2/s) about the
+    # exact one, from its pairs and from its rows; six of them are allowed.
+    rows, pairs_within = [], empirical._pairs_within
+
+    def spy(pos, *args):
+        rows.append(len(pos))
+        return pairs_within(pos, *args)
+
+    f = sampled_frame(32)
+    n = len(f)
+    exact = empirical_variogram(f, "I", 0.75, 5)
+    assert exact.counts.sum() > budget
+    monkeypatch.setattr(empirical, "_pairs_within", spy)
+    sub = empirical_variogram(f, "I", 0.75, 5, pair_budget=budget, seed=4)
+    assert (rows[0] == n) == (first_rows == "whole")
+    s = rows[-1]
+    assert 2 < s < n
+    pairs = np.round(sub.counts * s * (s - 1) / (n * (n - 1)))
+    assert 0 < pairs.sum() <= budget
+    assert_allclose(pairs * n * (n - 1) / (s * (s - 1)), sub.counts)
+    bound = 6 * np.sqrt(2 / pairs + 2 / s)
+    assert np.all(np.abs(sub.values - exact.values) <= bound)
 
 
 def test_empty_bins_flagged():

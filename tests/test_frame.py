@@ -105,6 +105,20 @@ def test_hp_coords_must_hold_one_pair_per_row(coords):
         frame.SkyFrame([1, 2], "nested", 1, mode=frame.HP, coords=coords)
 
 
+@pytest.mark.parametrize("theta, phi", [
+    (4.0, 0.3), (-1e-300, 0.3), (math.nan, 0.3), (math.inf, 0.3),
+    (0.5, math.nan), (0.5, -math.inf)],
+    ids=["theta-4", "theta-negative", "theta-nan", "theta-inf", "phi-nan",
+         "phi-inf"])
+def test_hp_coords_must_be_finite_with_theta_in_0_pi(theta, phi):
+    with pytest.raises(SchemaError, match="theta"):
+        frame.SkyFrame([1, 2], "nested", 1, mode=frame.HP,
+                       coords=([0.0, theta], [0.3, phi]))
+    # the closed ends and any finite phi are accepted
+    frame.SkyFrame([1, 12], "nested", 1, mode=frame.HP,
+                   coords=([0.0, math.pi], [-7.0, 1e300]))
+
+
 def test_keys_must_be_1d():
     with pytest.raises(SchemaError):
         frame.SkyFrame([[1, 2]], "nested", 1)
@@ -570,10 +584,15 @@ float64s = st.one_of(
     st.floats(),
     st.integers(0, 2**64 - 1).map(
         lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))))
+# the coordinates a frame accepts: theta in [0, pi] and a finite phi
+thetas = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, math.pi]),
+                   st.floats(0.0, math.pi))
+phis = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                 st.floats(allow_nan=False, allow_infinity=False))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 12 * 4**29), float64s, float64s,
+@given(st.lists(st.tuples(st.integers(1, 12 * 4**29), thetas, phis,
                           float64s), max_size=40))
 def test_csv_round_trip_is_bitwise(rows):
     pix = np.array([r[0] for r in rows], dtype=np.int64)
