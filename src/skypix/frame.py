@@ -19,7 +19,7 @@ from . import healpix
 from .csvio import read_table, write_table
 from .errors import (AddressingError, DomainError, FormatError, SchemaError,
                      SkypixError, UniquenessError)
-from .geom import WindowSet, sph2cart
+from .geom import WindowSet, geodesic_distance, sph2cart
 from .rng import sample_without_replacement
 
 _CHUNK = 1 << 20
@@ -187,7 +187,7 @@ def _cell_radius(nside):
     z_b = 1.0 - (1.0 - 1.0 / nside) ** 2 / 3.0
     a = sph2cart(math.acos(z_a), math.pi / (4 * nside))
     b = sph2cart(math.acos(z_b), 0.0)
-    return 1.05 * math.acos(min(1.0, float(a @ b)))
+    return 1.05 * float(geodesic_distance(a, b))
 
 
 def _cell_bounds(nside, region):

@@ -117,18 +117,22 @@ def hms_to_degrees(hours, minutes, seconds):
 
 
 def geodesic_distance(a, b):
-    """Great-circle angle between unit vectors, arccos of the clipped dot."""
+    """Great-circle angle between unit vectors, ``2 asin(min(c/2, 1))`` of
+    their chord ``c = |a - b|``: 0 exactly when they coincide, and accurate
+    to rounding at small angles, where an arccos of their dot rounds to 0."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return np.arccos(np.clip((a * b).sum(axis=-1), -1.0, 1.0))
+    # squared in place: one temporary (..., 3) array, as for a dot product
+    half_chord = np.einsum("...i->...", (a - b) ** 2) ** 0.5 / 2
+    return 2 * np.arcsin(np.minimum(half_chord, 1.0))
 
 
 def extremal_distance(points, target=None, mode="max"):
     """Extremal geodesic distance, pairwise or from every point to a target.
 
-    Pairwise, a k-d tree gives the shortest chord ``c`` from a point to
-    another (minimum ``2 asin(c/2)``, 0 for duplicates) and from an antipode
-    to a point (maximum ``pi - 2 asin(c/2)``), exact at small separations."""
+    Pairwise, a k-d tree finds the nearest other point to each point (the
+    minimum, 0 for duplicates) and to each point's antipode (the maximum is
+    pi less that angle), and ``geodesic_distance`` gives the angles."""
     if mode not in ("max", "min"):
         raise DomainError("mode must be 'max' or 'min'")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -143,8 +147,10 @@ def extremal_distance(points, target=None, mode="max"):
     from scipy.spatial import cKDTree
     tree = cKDTree(pts)
     if mode == "min":
-        return 2 * math.asin(min(tree.query(pts, k=2)[0][:, 1].min() / 2, 1))
-    return math.pi - 2 * math.asin(min(tree.query(-pts)[0].min() / 2, 1))
+        near = tree.query(pts, k=[2])[1][:, 0]
+        return float(geodesic_distance(pts, pts[near]).min())
+    near = tree.query(-pts)[1]
+    return math.pi - float(geodesic_distance(-pts, pts[near]).min())
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +402,8 @@ class WindowSet:
 # triangulation
 
 def spherical_triangle_area(a, b, c):
-    """Spherical excess via L'Huilier's theorem (stable for thin triangles)."""
+    """Spherical excess via L'Huilier's theorem, on sides from the chord
+    rule of ``geodesic_distance``: stable for thin triangles."""
     ar = geodesic_distance(b, c)
     br = geodesic_distance(a, c)
     cr = geodesic_distance(a, b)

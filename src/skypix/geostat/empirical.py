@@ -1,9 +1,11 @@
 """Empirical covariance and variogram estimators over point pairs.
 
-Pairs are binned by geodesic separation into equal-width bins on
-``(0, max_dist]``.  The covariance curve carries an extra leading bin: bin 0
-holds the zero-lag variance estimate (the sample variance over all points),
-so ``bins=10`` yields 11 values.  The variogram estimator is the classical
+Pairs are binned by geodesic separation, from the chord rule of
+``geom.geodesic_distance``, into equal-width bins on ``(0, max_dist]``:
+only rows at one position sit at lag zero.  The covariance curve carries
+an extra leading bin: bin 0 holds the zero-lag variance estimate (the
+sample variance over all points), so ``bins=10`` yields 11 values.  The
+variogram estimator is the classical
 
     gamma(h) = (1 / (2 N_h)) * sum over pairs at lag h of (Y1 - Y2)^2
 
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import geom
 from ..csvio import read_table, write_table
 from ..errors import DomainError, FormatError
 from ..rng import sample_without_replacement
@@ -108,19 +111,20 @@ def _layout(xyz):
 def _pair_bounds(ranges, centers, radii, max_dist):
     """Bounds ``(lower, upper)`` on the row pairs within ``max_dist``, zero
     lags included: those of the block pairs whose centers are closer than
-    the chord of ``max_dist - 1e-6`` (a margin rounding cannot cross) less
-    twice the largest block radius, or the chord of ``max_dist`` plus it."""
+    the chord of ``max_dist``, narrowed or widened by a relative 1e-9 that
+    rounding cannot cross, less or plus twice the largest block radius."""
     from scipy.spatial import cKDTree
     sizes = np.array([hi - lo for lo, hi in ranges], dtype=np.float64)
     rim = 2 * radii.max()
+    chord = 2 * math.sin(max_dist / 2)
     near = (math.inf if max_dist >= math.pi   # every pair is in range
-            else 2 * math.sin(max(max_dist - 1e-6, 0.0) / 2) - rim)
+            else chord * (1 - 1e-9) - rim)
     tree = cKDTree(centers)
     # ordered block pairs, each block with itself too, so n of the row
     # pairs weighed in are a row with itself; scipy counts pairs at a
     # negative radius as at its absolute value, so none is passed
-    ordered = tree.count_neighbors(tree, [max(near, 0.0), 2 * math.sin(
-        max_dist / 2) * (1 + 1e-9) + rim], weights=sizes)
+    ordered = tree.count_neighbors(
+        tree, [max(near, 0.0), chord * (1 + 1e-9) + rim], weights=sizes)
     lower, upper = (int(w - sizes.sum()) // 2 for w in ordered)
     return (lower if near >= 0 else 0), upper
 
@@ -176,8 +180,8 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
     tree, pos, ranges, centers, radii = _layout(xyz)
     lower, upper = _pair_bounds(ranges, centers, radii, max_dist)
     if lower > pair_budget:
-        # rows closer than 1e-7 may sit at lag zero, outside every bin
-        lower -= (tree.count_neighbors(tree, 1e-7) - n) // 2
+        # rows at one position sit at lag zero, outside every bin
+        lower -= (tree.count_neighbors(tree, 0.0) - n) // 2
     s, order = n, tree.indices
     if lower > pair_budget:
         s = max(2, int(n * math.sqrt(pair_budget / upper)))
@@ -189,15 +193,8 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
         fld, binned = field[order], 0
         for done, a, b in _pairs_within(pos, ranges, centers, radii,
                                         max_dist):
-            d = np.einsum("ij,ij->i", pos.take(a, axis=0), pos.take(b, axis=0))
-            np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
-            # a self dot product may round below 1: coincident rows sit at
-            # lag zero, outside every bin, wherever they are
-            near = np.flatnonzero(d < 1e-7)
-            if near.size:
-                same = np.all(pos.take(a[near], axis=0)
-                              == pos.take(b[near], axis=0), axis=1)
-                d[near[same]] = 0.0
+            d = geom.geodesic_distance(pos.take(a, axis=0),
+                                       pos.take(b, axis=0))
             inside = (d > 0) & (d <= max_dist)
             if not inside.all():
                 a, b, d = a[inside], b[inside], d[inside]

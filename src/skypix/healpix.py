@@ -366,24 +366,19 @@ def ang2pix(nside, theta, phi, scheme=RING):
     ``theta`` in ``[0, pi]``, any finite ``phi``; arrays broadcast."""
     nside = _check_nside(nside)
     _check_scheme(scheme)
-    if np.ndim(theta) == 0 and np.ndim(phi) == 0:
+    theta_a = np.asarray(theta, dtype=np.float64)
+    phi_a = np.asarray(phi, dtype=np.float64)
+    if not (np.isfinite(theta_a).all() and np.isfinite(phi_a).all()):
+        raise DomainError("non-finite direction")
+    if not ((theta_a >= 0.0) & (theta_a <= np.pi)).all():
+        raise DomainError("theta must be in [0, pi]")
+    if theta_a.ndim == phi_a.ndim == 0:
         # one direction: the same zone arithmetic on numpy scalars, for its
         # own zone only, costs a quarter of the 1-element array path
-        theta, phi = np.float64(theta), np.float64(phi)
-        if not (np.isfinite(theta) and np.isfinite(phi)):
-            raise DomainError("non-finite direction")
-        if not 0.0 <= theta <= np.pi:
-            raise DomainError("theta must be in [0, pi]")
-        z, tt, rtz = _zphi_quadrants(theta, phi)
+        z, tt, rtz = _zphi_quadrants(theta_a[()], phi_a[()])
         if abs(z) > 2.0 / 3.0:
             return int(_polar_zone_pix(nside, tt, z, rtz, scheme)) + 1
         return int(_eq_zone_pix(nside, tt, z, scheme)) + 1
-    theta_a = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    phi_a = np.atleast_1d(np.asarray(phi, dtype=np.float64))
-    if not (np.all(np.isfinite(theta_a)) and np.all(np.isfinite(phi_a))):
-        raise DomainError("non-finite direction")
-    if np.any(theta_a < 0.0) or np.any(theta_a > np.pi):
-        raise DomainError("theta must be in [0, pi]")
     shape = np.broadcast_shapes(theta_a.shape, phi_a.shape)
 
     def pixels(theta, phi):

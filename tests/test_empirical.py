@@ -16,7 +16,7 @@ from skypix.rng import sample_without_replacement
 
 def brute_curves(xyz, values, max_dist, bins):
     """Direct per-pair evaluation of both binned estimators; the lag of a
-    pair is arccos of its clipped einsum dot product, as specified."""
+    pair is ``sp.geodesic_distance`` of its rows, as specified."""
     n = len(values)
     width = max_dist / bins
     centered = values - values.mean()
@@ -24,7 +24,7 @@ def brute_curves(xyz, values, max_dist, bins):
     var_sum = np.zeros(bins)
     counts = np.zeros(bins)
     iu, ju = np.triu_indices(n, k=1)
-    lags = np.arccos(np.clip(np.einsum("ij,ij->i", xyz[iu], xyz[ju]), -1, 1))
+    lags = sp.geodesic_distance(xyz[iu], xyz[ju])
     for i, j, d in zip(iu, ju, lags):
         if d <= 0 or d > max_dist:
             continue
@@ -50,8 +50,7 @@ def edge_frame():
 
 def pair_lag(f, i, j):
     xyz = f.positions()
-    dot = np.einsum("ij,ij->i", xyz[[i]], xyz[[j]])
-    return float(np.arccos(np.clip(dot, -1, 1))[0])
+    return float(sp.geodesic_distance(xyz[i], xyz[j]))
 
 
 @pytest.fixture
@@ -200,10 +199,25 @@ def test_coincident_rows_do_not_count_towards_budget():
     assert_array_equal(budgeted.counts, exact.counts)
 
 
+@pytest.mark.parametrize("level", [24, 27, 29])
+def test_adjacent_deep_centers_make_one_pair(level):
+    # the centers of a nested pixel near (1.3, 0.7) and of its north
+    # neighbour, 8.2e-8 to 2.6e-9 rad apart, are a pair in range of twice
+    # their chord
+    nside = 2 ** level
+    p = sp.ang2pix(nside, 1.3, 0.7, sp.NESTED)
+    pix = np.array([p, sp.neighbours_index(nside, p)[3]])
+    a, b = sp.pix2vec(nside, pix, sp.NESTED)
+    f = frame.SkyFrame(pix, sp.NESTED, nside, {"I": np.array([0.0, 1.0])})
+    curve = empirical_variogram(f, "I", 2 * np.linalg.norm(a - b), 1)
+    assert curve.counts.tolist() == [1.0]
+    assert curve.values.tolist() == [0.5]
+
+
 def test_coincident_rows_sit_at_lag_zero_in_any_direction():
-    # two clusters of 30 coincident rows in random directions: a unit
-    # vector's self dot product often rounds below 1, yet only the 900
-    # cross-cluster pairs may land in a bin, on both pair paths
+    # two clusters of 30 coincident rows in random directions: rows at one
+    # position have a chord of exactly 0, so only the 900 cross-cluster
+    # pairs may land in a bin, on both pair paths
     rng = np.random.default_rng(185)
     for _ in range(20):
         theta = np.repeat(rng.uniform(0.1, math.pi - 0.1, 2), 30)
@@ -222,14 +236,15 @@ def test_coincident_rows_sit_at_lag_zero_in_any_direction():
 
 # sha256 of (values, counts) of both curves on sampled_frame() at max_dist
 # pi, 12 bins, a budget of 3 * 2**20 + 1 pairs and seed 7, as recorded when
-# the sampled path binned every pair of a seeded row subsample
+# the sampled path binned every pair of a seeded row subsample, with lags
+# from the chord rule of sp.geodesic_distance
 SAMPLED_SHA256 = {
     "empirical_variogram": (
-        "f0214ac27956c058ea6fa716e5a9c36a2db0aa98214a5a980c39ee3fa22827f3",
-        "c063a76cff2e88db54453c0e6ea17fe8239c476d68e8d6b1c82cbcab92cab3af"),
+        "d2eb591c007435189ce0b0accbf0567b491913ccb0555df0afb88a1fe590e9ab",
+        "4c3610033f073ecce6a1e568aa6dcab05a46d335bb37469be32f3bbaf16fee62"),
     "empirical_covariance": (
-        "6f9f9a1ac3e1c0fb928efbbecc22e70c9ea64075a82e594e48f49fddb1511660",
-        "fc593f6b7f523d750d2607ba09e5585acfaacc9197ed1023096ba92e46957dc7"),
+        "ebf9dbdd8b2c293febbc942cab176fa5751d5495ff9f4a4de3e581cac7f1330a",
+        "3988a3e6d2743843dc23f32968718eb9814701785116aa45a541d04aedd58860"),
 }
 
 

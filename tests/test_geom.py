@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,32 @@ def test_geodesic_distance_basics():
     assert geom.geodesic_distance(a, a) == 0.0
     assert_allclose(geom.geodesic_distance(a, b), math.pi / 2)
     assert_allclose(geom.geodesic_distance(a, -a), math.pi)
+
+
+def exact_angle(a, b):
+    """``atan2(|a x b|, a . b)``, with the cross and dot products of the
+    vectors' float components in exact rational arithmetic."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    cross = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+             a[0] * b[1] - a[1] * b[0]]
+    return math.atan2(math.sqrt(sum(x * x for x in cross)),
+                      float(sum(x * y for x, y in zip(a, b))))
+
+
+@pytest.mark.parametrize("level, separation", [(24, 8.25e-8), (27, 1.03e-8),
+                                               (29, 2.58e-9)])
+def test_geodesic_distance_of_adjacent_deep_centers(level, separation):
+    # the centers of a nested pixel near (1.3, 0.7) and of its north
+    # neighbour: an arccos of their dot product is 0.6% off at level 24
+    # and 2 to 6 times too large at levels 27 and 29
+    import skypix as sp
+    nside = 2 ** level
+    p = sp.ang2pix(nside, 1.3, 0.7, sp.NESTED)
+    a, b = sp.pix2vec(nside, [p, sp.neighbours_index(nside, p)[3]], sp.NESTED)
+    exact = exact_angle(a, b)
+    assert_allclose(exact, separation, rtol=0.01)
+    assert_allclose(geom.geodesic_distance(a, b), exact, rtol=1e-14, atol=0)
+    assert_allclose(geom.geodesic_distance(b, a), exact, rtol=1e-14, atol=0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -181,6 +208,20 @@ def test_quad_area_equals_triangle_sum():
     assert len(tris) == 2
     total = sum(geom.spherical_triangle_area(*t) for t in tris)
     assert_allclose(quad.area(), total, atol=1e-9)
+
+
+@pytest.mark.parametrize("side", [1e-6, 1e-8])
+def test_thin_triangle_area_matches_tangent_plane(side):
+    # the flat triangle on the same vertices differs from the spherical
+    # one by a relative O(side^2): 2e-13 at 1e-6 rad sides
+    a = geom.sph2cart(1.3, 0.7)
+    e1 = unit(np.cross([0.0, 0.0, 1.0], a))
+    e2 = np.cross(a, e1)
+    b = unit(a + side * e1)
+    c = unit(a + side * (0.5 * e1 + 0.8 * e2))
+    flat = 0.5 * np.linalg.norm(np.cross(b - a, c - a))
+    assert_allclose(geom.spherical_triangle_area(a, b, c), flat, rtol=1e-12,
+                    atol=0)
 
 
 def test_polygon_triangulates_once(monkeypatch):
