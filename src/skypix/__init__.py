@@ -7,9 +7,9 @@ from .errors import (
     StratificationError, NetworkError,
 )
 from .healpix import (
-    RING, NESTED, Resolution, PixelId, npix, pixel_area,
+    RING, NESTED, PixelId, npix, pixel_area,
     pix2ang, pix2vec, pix2zphi, ang2pix, vec2pix,
-    nest2ring, ring2nest, convert_ordering, pixel_center,
+    nest2ring, ring2nest, convert_ordering,
     ancestor, ancestor_index, children, children_index, pixel_window,
     neighbours, neighbours_index, nest_search, pixel_boundary,
 )

@@ -47,7 +47,7 @@ class SkyFrame:
         if self.pix.ndim != 1:
             raise SchemaError("pixel keys must be 1-d, got shape %s"
                               % (self.pix.shape,))
-        self.nside = healpix.Resolution(self.nside).nside
+        self.nside = healpix._check_nside(self.nside)
         healpix._check_scheme(self.scheme)
         if self.pix.size and (self.pix.min() < 1
                               or self.pix.max() > healpix.npix(self.nside)):

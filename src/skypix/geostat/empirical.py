@@ -14,8 +14,9 @@ global sample mean.
 
 Pairs are found in one way: a k-d tree over the unit vectors of a row set
 yields, block pair by block pair, only the pairs whose chord can put them
-in range, and each block pair is binned before the next.  The row set is
-the whole frame when at most ``pair_budget`` (default ``PAIR_BUDGET``)
+in range, and each block pair is binned before the next; blocks whose rows
+share one position, all at lag zero, are not paired.  The row set is the
+whole frame when at most ``pair_budget`` (default ``PAIR_BUDGET``)
 pairs are in range, and otherwise a seeded row subsample, drawn as
 ``frame.sample_frame`` draws rows, whose counts are rescaled to all n rows.
 """
@@ -96,8 +97,9 @@ def _blocks(tree):
 
 
 def _layout(xyz):
-    """A k-d tree over ``xyz``, its rows in tree order, its blocks, and the
-    center and chord radius of a sphere enclosing each block's rows."""
+    """A k-d tree over ``xyz``, its rows in tree order, its blocks, the
+    center and chord radius of a sphere enclosing each block's rows, and
+    each block's position where all its rows share one (NaN elsewhere)."""
     from scipy.spatial import cKDTree
     tree = cKDTree(xyz)
     pos = xyz[tree.indices]
@@ -105,7 +107,12 @@ def _layout(xyz):
     centers = np.array([pos[lo:hi].mean(axis=0) for lo, hi in ranges])
     radii = np.array([np.linalg.norm(pos[lo:hi] - c, axis=1).max()
                       for (lo, hi), c in zip(ranges, centers)])
-    return tree, pos, ranges, centers, radii
+    # the ranges ascend and tile the rows, so each starts a reduceat run
+    starts = [lo for lo, _ in ranges]
+    low = np.minimum.reduceat(pos, starts)
+    point = np.all(low == np.maximum.reduceat(pos, starts), axis=1)
+    spots = np.where(point[:, None], low, np.nan)
+    return tree, pos, ranges, centers, radii, spots
 
 
 def _pair_bounds(ranges, centers, radii, max_dist):
@@ -129,17 +136,21 @@ def _pair_bounds(ranges, centers, radii, max_dist):
     return (lower if near >= 0 else 0), upper
 
 
-def _pairs_within(pos, ranges, centers, radii, max_dist):
+def _pairs_within(pos, ranges, centers, radii, spots, max_dist):
     """Yield ``(done, i, j)``: row arrays ``i``, ``j`` holding, once each,
     every pair of rows of ``pos`` whose chord may put it within
     ``max_dist``, one block pair (at most ``_BLOCK**2`` pairs) at a time,
-    and the rows ``done`` of the blocks entered so far."""
+    and the rows ``done`` of the blocks entered so far.  Two blocks whose
+    rows all share one position (``spots``), or one such block with itself,
+    hold only pairs at lag zero and are not paired."""
     from scipy.spatial import cKDTree
     chord = 2 * math.sin(max_dist / 2) * (1 + 1e-9)
     trees = [cKDTree(pos[lo:hi]) for lo, hi in ranges]
     for a, (lo, hi) in enumerate(ranges):
         gap = np.linalg.norm(centers[a:] - centers[a], axis=1)
-        for b in a + np.flatnonzero(gap - radii[a] - radii[a:] <= chord):
+        near = gap - radii[a] - radii[a:] <= chord
+        near &= ~np.all(spots[a:] == spots[a], axis=1)   # NaN never equal
+        for b in a + np.flatnonzero(near):
             m = trees[a].sparse_distance_matrix(trees[b], chord,
                                                 output_type="ndarray")
             i, j = m["i"], m["j"]
@@ -177,7 +188,7 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
 
     # Pairs are found on rows in k-d tree order, where every block is a
     # contiguous, spatially compact slice.
-    tree, pos, ranges, centers, radii = _layout(xyz)
+    tree, pos, ranges, centers, radii, spots = _layout(xyz)
     lower, upper = _pair_bounds(ranges, centers, radii, max_dist)
     if lower > pair_budget:
         # rows at one position sit at lag zero, outside every bin
@@ -188,10 +199,10 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
     while True:
         if s < n:
             rows = sample_without_replacement(n, s, seed) - 1
-            tree, pos, ranges, centers, radii = _layout(xyz[rows])
+            tree, pos, ranges, centers, radii, spots = _layout(xyz[rows])
             order = rows[tree.indices]
         fld, binned = field[order], 0
-        for done, a, b in _pairs_within(pos, ranges, centers, radii,
+        for done, a, b in _pairs_within(pos, ranges, centers, radii, spots,
                                         max_dist):
             d = geom.geodesic_distance(pos.take(a, axis=0),
                                        pos.take(b, axis=0))
@@ -220,8 +231,7 @@ def empirical_covariance(frame, column, max_dist, bins, pair_budget=PAIR_BUDGET,
     """Binned covariance estimate; ``bins + 1`` values, bin 0 at lag zero."""
     centered, sums, counts, scale = _pair_bins(
         frame, column, max_dist, bins, pair_budget, seed, "cov")
-    with np.errstate(invalid="ignore"):
-        est = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    est = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     var0 = float(np.mean(centered ** 2))
     lags = np.concatenate([[0.0], (np.arange(1, bins + 1) - 0.5)
                            * (max_dist / bins)])
@@ -235,7 +245,6 @@ def empirical_variogram(frame, column, max_dist, bins, pair_budget=PAIR_BUDGET,
     """Classical variogram estimate over the positive-lag bins."""
     _, sums, counts, scale = _pair_bins(
         frame, column, max_dist, bins, pair_budget, seed, "vario")
-    with np.errstate(invalid="ignore"):
-        est = np.where(counts > 0, sums / (2.0 * np.maximum(counts, 1)), np.nan)
+    est = np.where(counts > 0, sums / (2.0 * np.maximum(counts, 1)), np.nan)
     lags = (np.arange(1, bins + 1) - 0.5) * (max_dist / bins)
     return EmpiricalCurve(lags, est, counts * scale, max_dist, bins)

@@ -67,19 +67,18 @@ def renyi_function(frame, column, q_min=1.01, q_max=10.0, n_points=20,
     q = np.linspace(q_min, q_max, n_points)
     if np.any(q == 1.0):
         raise DomainError("q = 1 is excluded from the grid")
-    j = healpix.Resolution(frame.nside).j
+    j = frame.nside.bit_length() - 1
     if not 1 <= box_level <= j:
         raise DomainError("box_level must be in 1..%d for nside=%d"
                           % (j, frame.nside))
-    f = frame if frame.scheme == healpix.NESTED else frame.with_scheme(healpix.NESTED)
-    values = np.asarray(f.column(column), dtype=np.float64)
+    values = np.asarray(frame.column(column), dtype=np.float64)
     if values.size == 0:
         raise DomainError("empty frame")
-    mass_values = values - values.min()
-    boxes = (f.pix - 1) >> (2 * (j - box_level))
-    uniq, inverse = np.unique(boxes, return_inverse=True)
-    masses = np.zeros(uniq.size)
-    np.add.at(masses, inverse, mass_values)
+    pix = (frame.pix if frame.scheme == healpix.NESTED
+           else healpix.ring2nest(frame.nside, frame.pix))
+    _, inverse = np.unique((pix - 1) >> (2 * (j - box_level)),
+                           return_inverse=True)
+    masses = np.bincount(inverse, weights=values - values.min())
     total = masses.sum()
     if total <= 0:
         raise DomainError("degenerate measure: total mass is zero")
@@ -153,12 +152,9 @@ def angular_marginals(frame, column, theta_bins=18, phi_bins=36):
                                      ("phi", phi, phi_bins, 2 * math.pi)):
         edges = np.linspace(0.0, top, nbins + 1)
         idx = np.clip(np.digitize(angles, edges) - 1, 0, nbins - 1)
-        counts = np.zeros(nbins)
-        sums = np.zeros(nbins)
-        np.add.at(counts, idx, 1.0)
-        np.add.at(sums, idx, values)
-        with np.errstate(invalid="ignore"):
-            means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        counts = np.bincount(idx, minlength=nbins).astype(np.float64)
+        sums = np.bincount(idx, weights=values, minlength=nbins)
+        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
         out[name] = {"centers": 0.5 * (edges[:-1] + edges[1:]),
                      "mean": means, "count": counts}
     return out

@@ -106,28 +106,6 @@ def _check_scheme(scheme):
 
 
 @dataclass(frozen=True)
-class Resolution:
-    """Grid resolution: ``nside`` is a power of two, ``j = log2(nside)``."""
-
-    nside: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "nside", _check_nside(self.nside))
-
-    @property
-    def j(self):
-        return self.nside.bit_length() - 1
-
-    @property
-    def npix(self):
-        return 12 * self.nside * self.nside
-
-    @property
-    def pixel_area(self):
-        return 4.0 * math.pi / self.npix
-
-
-@dataclass(frozen=True)
 class PixelId:
     """A 1-based pixel index under a given ordering scheme and resolution."""
 
@@ -466,11 +444,6 @@ def convert_ordering(pixel, target):
     return PixelId(ring2nest(pixel.nside, pixel.index), NESTED, pixel.nside)
 
 
-def pixel_center(pixel):
-    """Center of a :class:`PixelId` as a unit vector ``(x, y, z)``."""
-    return pix2vec(pixel.nside, pixel.index, pixel.scheme)
-
-
 # ---------------------------------------------------------------------------
 # nested hierarchy
 
@@ -488,7 +461,7 @@ def ancestor(pixel, k):
     """Pixel ``k`` levels up the nested hierarchy (base faces sit at j=0)."""
     if pixel.scheme != NESTED:
         raise AddressingError("ancestor requires the nested scheme")
-    j = Resolution(pixel.nside).j
+    j = _check_nside(pixel.nside).bit_length() - 1
     if not 1 <= k <= j:
         raise DomainError("k must be in 1..%d for nside=%d" % (j, pixel.nside))
     return PixelId(ancestor_index(pixel.index, k), NESTED, pixel.nside >> k)

@@ -323,6 +323,16 @@ def test_malformed_frame_csv_cell_exits_2(runner, small_map, tmp_path):
     assert "s.csv" in result.output and "0.5x" in result.output
 
 
+def test_variogram_degrees_converts_max_dist(runner, small_map, tmp_path):
+    # math.radians(90.0) == math.pi / 2 exactly, so the curves match bytewise
+    deg, rad = tmp_path / "deg.csv", tmp_path / "rad.csv"
+    invoke(runner, ["variogram", str(small_map), "--max-dist", "90",
+                    "--degrees", "--bins", "8", "-o", str(deg)])
+    invoke(runner, ["variogram", str(small_map), "--max-dist",
+                    "1.5707963267948966", "--bins", "8", "-o", str(rad)])
+    assert deg.read_bytes() == rad.read_bytes()
+
+
 def test_malformed_curve_csv_cell_exits_2(runner, small_map, tmp_path):
     curve_csv = tmp_path / "v.csv"
     invoke(runner, ["variogram", str(small_map), "--max-dist", "1.0",
@@ -689,21 +699,29 @@ def _recard(blob, key, value, start=0):
     return blob[:pos] + card + blob[pos + len(card):]
 
 
-@pytest.mark.parametrize("key, value, ext", [
-    ("NAXIS1", "'abc'", True),
-    ("NAXIS", "'x'", False),
-    ("NAXIS2", "-12", True),
-    ("TTYPE2", "'I'", True),
+@pytest.mark.parametrize("key, value, ext, message", [
+    ("NAXIS1", "'abc'", True, "NAXIS1"),
+    ("NAXIS", "'x'", False, "NAXIS"),
+    ("NAXIS2", "-12", True, "NAXIS2"),
+    ("TTYPE2", "'I'", True, "'I'"),
+    ("SIMPLE", "F", False, "missing SIMPLE = T"),
+    ("XTENSION", "'IMAGE'", True, "not a BINTABLE"),
+    ("NAXIS1", "12", True, "NAXIS1 does not match"),
+    ("ORDERING", "'SPIRAL'", True, "unrecognised ORDERING 'spiral'"),
+    ("NSIDE", "1.2.3", True, "unparseable card value '1.2.3'"),
 ], ids=["naxis1-string", "primary-naxis-string", "naxis2-negative",
-        "repeated-column"])
-def test_malformed_header_card_exits_2(runner, tmp_path, key, value, ext):
+        "repeated-column", "simple-false", "xtension-image", "naxis1-width",
+        "ordering-unknown", "unparseable-value"])
+def test_malformed_header_card_exits_2(runner, tmp_path, key, value, ext,
+                                       message):
     path = tmp_path / "m.fits"
     fits.write_map(path, {"I": np.zeros(12, np.float32),
-                          "Q": np.zeros(12, np.float32)}, nside=1)
+                          "Q": np.zeros(12, np.float32)}, nside=1,
+                   ordering="nested")
     blob = path.read_bytes()
     path.write_bytes(_recard(blob, key, value, fits.BLOCK if ext else 0))
     for command in ("info", "entropy"):
         result = runner.invoke(cli.main, [command, str(path)])
         assert result.exit_code == 2
         assert result.output.startswith(command + ": ")
-        assert ("'I'" if key == "TTYPE2" else key) in result.output
+        assert message in result.output

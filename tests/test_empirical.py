@@ -234,6 +234,27 @@ def test_coincident_rows_sit_at_lag_zero_in_any_direction():
         assert np.flatnonzero(sampled.counts).tolist() == [bin_cross]
 
 
+def test_blocks_of_one_position_are_not_paired(monkeypatch):
+    # 3,000 rows at one pixel center fill 12 blocks whose 4.5M pairs all
+    # sit at lag zero; only the pairs with the 3 other rows are enumerated
+    yielded, pairs_within = [], empirical._pairs_within
+
+    def spy(*args):
+        for done, i, j in pairs_within(*args):
+            yielded.append(len(i))
+            yield done, i, j
+
+    pix = np.concatenate([np.full(3000, 100), [5, 300, 700]])
+    values = np.random.default_rng(18).normal(size=pix.size)
+    f = frame.SkyFrame(pix, sp.NESTED, 8, {"I": values}, mode=frame.HP)
+    monkeypatch.setattr(empirical, "_pairs_within", spy)
+    vario = empirical_variogram(f, "I", math.pi, 6)
+    assert sum(yielded) < 100_000
+    _, var, counts = brute_curves(f.positions(), values, math.pi, 6)
+    assert_array_equal(vario.counts, counts)
+    assert_allclose(vario.values, var, rtol=1e-12)
+
+
 # sha256 of (values, counts) of both curves on sampled_frame() at max_dist
 # pi, 12 bins, a budget of 3 * 2**20 + 1 pairs and seed 7, as recorded when
 # the sampled path binned every pair of a seeded row subsample, with lags

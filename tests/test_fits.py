@@ -287,6 +287,37 @@ def test_all_supported_dtypes_round_trip(tmp_path):
         assert_array_equal(out[name], arr)
 
 
+def test_write_rejects_empty_and_ragged_tables(tmp_path):
+    with pytest.raises(FormatError, match="no columns"):
+        fits.write_map(tmp_path / "none.fits", {})
+    with pytest.raises(FormatError, match="equal length"):
+        fits.write_map(tmp_path / "ragged.fits",
+                       {"A": np.zeros(12, np.float32),
+                        "B": np.zeros(11, np.float32)})
+
+
+def test_quoted_column_name_round_trips(tmp_path):
+    # the quote is written doubled inside the card and read back single
+    path = tmp_path / "quote.fits"
+    fits.write_map(path, {"O'Brien": np.arange(12, dtype=np.int32)}, nside=1)
+    assert b"TTYPE1  = 'O''Brien'" in path.read_bytes()
+    out = fits.open_map(path).read_all()
+    assert list(out) == ["O'Brien"]
+    assert_array_equal(out["O'Brien"], np.arange(12))
+
+
+def test_comment_card_is_not_parsed(tmp_path, small_map):
+    # a COMMENT card is free text, even when it looks like a bad value
+    blob = small_map.read_bytes()
+    extend = b"EXTEND  =                    T"
+    assert extend in blob
+    comment = b"COMMENT = 'unterminated".ljust(len(extend))
+    path = tmp_path / "comment.fits"
+    path.write_bytes(blob.replace(extend, comment, 1))
+    out = fits.open_map(path).read_all()
+    assert_array_equal(out["I"], fits.open_map(small_map).read_all()["I"])
+
+
 def test_open_rejects_missing_bintable(tmp_path):
     path = tmp_path / "primary_only.fits"
     header = (fits._format_card("SIMPLE", True)

@@ -415,6 +415,18 @@ def test_bind_rows_overlap_demotes_to_hp():
     assert len(out) == 4
 
 
+def test_bind_rows_keeps_explicit_coordinates():
+    theta, phi = np.array([0.3, 2.0]), np.array([1.0, 5.5])
+    a = frame.SkyFrame(sp.ang2pix(2, theta, phi, sp.NESTED), "nested", 2,
+                       {"I": [1.0, 2.0]}, frame.HP, coords=(theta, phi))
+    b = frame.SkyFrame([5, 9], "nested", 2, {"I": [5.0, 9.0]})
+    out = frame.bind_frames([a, b])
+    assert out.mode == frame.HP and not out.demoted
+    centers = sp.pix2ang(2, np.array([5, 9]), sp.NESTED)
+    for got, mine, theirs in zip(out.coords, (theta, phi), centers):
+        assert_array_equal(got, np.concatenate([mine, theirs]))
+
+
 def test_bind_rows_schema_and_resolution_errors():
     a = frame.SkyFrame([1], "nested", 2, {"I": [1.0]})
     with pytest.raises(SchemaError):

@@ -32,12 +32,6 @@ def test_pixel_area():
     assert_allclose(sp.pixel_area(1024), 4 * math.pi / 12582912)
 
 
-def test_resolution_fields():
-    r = sp.Resolution(16)
-    assert r.j == 4 and r.npix == 3072
-    assert_allclose(r.pixel_area * r.npix, 4 * math.pi)
-
-
 def test_pixelid_validation():
     sp.PixelId(12, sp.RING, 1)
     with pytest.raises(AddressingError):
@@ -367,7 +361,7 @@ def test_child_boundary_stays_inside_ancestor():
         b = sp.pixel_boundary(child, 8)
         # nudge boundary points toward the child's center to land strictly
         # inside, then check they resolve to the same base pixel
-        c = sp.pixel_center(child)
+        c = sp.pix2vec(child.nside, child.index, child.scheme)
         nudged = b + 1e-9 * (c - b)
         nudged /= np.linalg.norm(nudged, axis=1, keepdims=True)
         assert np.all(sp.ancestor_index(sp.vec2pix(2, nudged, sp.NESTED), 1)
