@@ -14,7 +14,9 @@ import warnings
 
 import numpy as np
 
-CHUNK = 1 << 16   # rows joined into text at once
+# rows joined into text at once; at 2^16 a later CSV read in the same
+# process peaked ~7 MB higher
+CHUNK = 1 << 14
 
 
 def _float_text(col):
@@ -28,6 +30,22 @@ def _float_text(col):
     return text[inverse].tolist()
 
 
+def _rows_text(keys, values):
+    """CSV text of the rows of ``keys`` and ``values`` columns, each row
+    ending in CRLF.  The cells and their separators go into one list that
+    is joined once; it and its cells are freed on return, before the next
+    chunk is formatted."""
+    width = 2 * (len(keys) + len(values))   # a cell and its separator
+    rows = len(keys[0] if keys else values[0])
+    text = [","] * (width * rows)
+    for c, k in enumerate(keys):
+        text[2 * c::width] = map(str, k.tolist())
+    for c, v in enumerate(values, len(keys)):
+        text[2 * c::width] = _float_text(v)
+    text[width - 1::width] = ["\r\n"] * rows
+    return "".join(text)
+
+
 def write_table(path, header, keys, values):
     """Write ``header``, then one row per index: the ``keys`` arrays first,
     each element through ``str`` (integers or strings without commas), then
@@ -36,9 +54,8 @@ def write_table(path, header, keys, values):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, n, CHUNK):
-            cells = [map(str, k[lo:lo + CHUNK].tolist()) for k in keys]
-            cells += [_float_text(v[lo:lo + CHUNK]) for v in values]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            fh.write(_rows_text([k[lo:lo + CHUNK] for k in keys],
+                                [v[lo:lo + CHUNK] for v in values]))
 
 
 def read_table(path, check_header, keys, error):

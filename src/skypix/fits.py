@@ -4,10 +4,10 @@ Only the layout used by full-sky map products is supported: a header-only
 primary HDU followed by one BINTABLE extension holding fixed-width
 big-endian rows.  Files are addressed by byte offset so that selected rows
 can be pulled out of a multi-hundred-megabyte map without reading the
-payload; opening a file touches the header blocks only.  A row read maps
-the file read-only and copies the requested rows out in one gather, and
-every payload access is recorded on the source for inspection as one
-``(offset, length)`` extent per contiguous run of rows.
+payload; opening a file touches the header blocks only.  Reads map the
+file read-only and copy out the requested rows in one gather, or each
+column of the whole table with no gather, recording each payload access on
+the source as one ``(offset, length)`` extent per contiguous run of rows.
 
 Structure recap: 2880-byte logical blocks; headers are 80-character ASCII
 cards ``KEYWORD = value / comment`` ended by ``END``; the table payload
@@ -166,51 +166,51 @@ class MapSource:
     def read_rows(self, rows, columns=None):
         """Decode the given 1-based rows (sorted, unique) into named arrays.
 
-        The file is mapped read-only and the requested rows are copied out
-        of the payload in one gather; only the selected columns are then
-        byte-swapped.  Each contiguous run of rows is recorded as one
-        ``(offset, length)`` extent in ``payload_reads``, so the bytes
-        touched stay within the requested rows' extents.  The returned
-        arrays own their data; no view of the mapping outlives the call.
+        The rows are copied out of the mapped payload in one gather, and
+        each contiguous run is recorded as one ``(offset, length)`` extent
+        in ``payload_reads``.  Only the selected columns are byte-swapped;
+        the arrays own their data, and no view of the mapping outlives it.
         """
         names = self._check_columns(columns)
         rows = np.asarray(rows, dtype=np.int64)
-        dtype = self._row_dtype()
-        raw = self._gather(rows, dtype) if rows.size else np.empty(0, dtype)
+        raw = self._gather(rows) if rows.size else self._payload(0)
         return {name: raw[name].astype(raw[name].dtype.newbyteorder("="))
                 for name in names}
 
-    def _gather(self, rows, dtype):
-        """The payload rows at ``rows`` as one structured array.
+    def _payload(self, count):
+        """The first ``count`` payload rows, viewed in a read-only mapping."""
+        end = self.data_start + count * self.row_bytes
+        with open(self.path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size < end:
+                raise FormatError("truncated payload")
+            mapped = mmap.mmap(fh.fileno(), end, access=mmap.ACCESS_READ)
+        return np.frombuffer(mapped, dtype=self._row_dtype(), count=count,
+                             offset=self.data_start)
 
-        A single run comes back as a view of the read-only mapping, so the
-        caller copies out of it before returning.
-        """
+    def _gather(self, rows):
+        """The payload rows at ``rows``, one extent recorded per run."""
         if rows.min() < 1 or rows.max() > self.row_count:
             raise BoundsError("row index out of range 1..%d" % self.row_count)
         steps = np.diff(rows)
         if np.any(steps <= 0):
             raise DomainError("rows must be sorted and unique")
-        last = int(rows[-1])
-        end = self.data_start + last * self.row_bytes
-        with open(self.path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size < end:
-                raise FormatError("truncated payload")
-            mapped = mmap.mmap(fh.fileno(), end, access=mmap.ACCESS_READ)
-        payload = np.frombuffer(mapped, dtype=dtype, count=last,
-                                offset=self.data_start)
+        payload = self._payload(int(rows[-1]))
         first = np.concatenate([[0], np.flatnonzero(steps > 1) + 1])
         counts = np.diff(np.append(first, rows.size))
         offsets = self.data_start + (rows[first] - 1) * self.row_bytes
         self.payload_reads.extend(zip(offsets.tolist(),
                                       (counts * self.row_bytes).tolist()))
-        if first.size == 1:
-            return payload[rows[0] - 1:last]
-        return payload[rows - 1]
+        return payload[rows[0] - 1:] if first.size == 1 else payload[rows - 1]
 
     def read_all(self, columns=None):
-        """Decode the whole table (still honouring column selection)."""
-        return self.read_rows(np.arange(1, self.row_count + 1), columns)
+        """Decode the whole table (still honouring column selection) as
+        ``read_rows`` does, but from one extent and with no row index."""
+        names = self._check_columns(columns)
+        raw = self._payload(self.row_count)
+        if raw.size:
+            self.payload_reads.append((self.data_start, raw.nbytes))
+        return {name: raw[name].astype(raw[name].dtype.newbyteorder("="))
+                for name in names}
 
     def sample_rows(self, sample_size, seed, columns=None):
         """Seeded simple random sample of rows, without replacement.

@@ -29,6 +29,7 @@ import numpy as np
 from .. import geom
 from ..csvio import read_table, write_table
 from ..errors import DomainError, FormatError
+from ..frame import HP
 from ..rng import sample_without_replacement
 
 PAIR_BUDGET = 50_000_000
@@ -115,6 +116,20 @@ def _layout(xyz):
     return tree, pos, ranges, centers, radii, spots
 
 
+def _coincident_pairs(pos):
+    """The number of row pairs of ``pos`` at one position: sorted by
+    position, the rows fall in runs of c equal rows, each c(c-1)/2 pairs."""
+    order = np.lexsort(pos.T)
+    same = np.ones(len(order) - 1, dtype=bool)
+    for coord in pos.T:
+        coord = coord[order]
+        same &= coord[1:] == coord[:-1]
+    tied = np.flatnonzero(same)   # sorted row i + 1 equals row i
+    starts = np.flatnonzero(np.diff(tied, prepend=-2) != 1)
+    ties = np.diff(starts, append=tied.size)   # a run of k ties has k + 1 rows
+    return int(np.sum(ties * (ties + 1) // 2))
+
+
 def _pair_bounds(ranges, centers, radii, max_dist):
     """Bounds ``(lower, upper)`` on the row pairs within ``max_dist``, zero
     lags included: those of the block pairs whose centers are closer than
@@ -190,9 +205,10 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
     # contiguous, spatially compact slice.
     tree, pos, ranges, centers, radii, spots = _layout(xyz)
     lower, upper = _pair_bounds(ranges, centers, radii, max_dist)
-    if lower > pair_budget:
-        # rows at one position sit at lag zero, outside every bin
-        lower -= (tree.count_neighbors(tree, 0.0) - n) // 2
+    if lower > pair_budget and frame.mode == HP:
+        # rows at one position sit at lag zero, outside every bin; those of
+        # a cmb frame are distinct pixel centers
+        lower -= _coincident_pairs(pos)
     s, order = n, tree.indices
     if lower > pair_budget:
         s = max(2, int(n * math.sqrt(pair_budget / upper)))

@@ -199,6 +199,20 @@ def test_coincident_rows_do_not_count_towards_budget():
     assert_array_equal(budgeted.counts, exact.counts)
 
 
+def test_coincident_pairs_match_brute_force():
+    # runs of equal rows among distinct ones, with zeros of either sign,
+    # which sit at one position
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        spots = rng.normal(size=(rng.integers(1, 6), 3))
+        spots[rng.random(spots.shape) < 0.3] = 0.0
+        pos = spots[rng.integers(0, len(spots), rng.integers(2, 40))]
+        pos[(pos == 0) & (rng.random(pos.shape) < 0.5)] = -0.0
+        iu, ju = np.triu_indices(len(pos), k=1)
+        expect = int(np.all(pos[iu] == pos[ju], axis=1).sum())
+        assert empirical._coincident_pairs(pos) == expect
+
+
 @pytest.mark.parametrize("level", [24, 27, 29])
 def test_adjacent_deep_centers_make_one_pair(level):
     # the centers of a nested pixel near (1.3, 0.7) and of its north

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,27 @@ def test_read_all_round_trip(small_map):
     out = src.read_all()
     assert_array_equal(out["I"], np.arange(1, 13, dtype=np.float32))
     assert_array_equal(out["TMASK"], np.zeros(12, dtype=np.int32))
+    assert [a.dtype for a in out.values()] == [np.float32, np.int32]
+    assert all(a.flags.owndata and a.flags.writeable for a in out.values())
+    # the whole table is one contiguous run
+    assert src.payload_reads == [(src.data_start, 12 * src.row_bytes)]
+
+
+def test_read_all_builds_no_row_index(tmp_path):
+    path = tmp_path / "two.fits"
+    n = 12 * 64 * 64
+    fits.write_map(path, {"I": np.arange(n, dtype=np.float32),
+                          "Q": np.ones(n, dtype=np.float32)}, nside=64)
+    src = fits.open_map(path)
+    tracemalloc.start()
+    try:
+        out = src.read_all(["I"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a per-row index takes at least 8 bytes a row against 4 returned
+    assert peak < 2 * out["I"].nbytes
+    assert_array_equal(out["I"], np.arange(n, dtype=np.float32))
 
 
 def test_selective_read_equals_full_read(small_map):
@@ -262,9 +284,13 @@ def test_write_round_trips_across_write_buffers(tmp_path, rows):
              "M": (np.arange(rows) % 30000).astype(np.int16)}
     written = fits.write_map(path, table, nside=1)
     assert written == path.stat().st_size and written % fits.BLOCK == 0
-    got = fits.open_map(path).read_all()
+    src = fits.open_map(path)
+    got = src.read_all()
     assert_array_equal(got["I"], table["I"])
     assert_array_equal(got["M"], table["M"])
+    assert [a.dtype for a in got.values()] == [np.float32, np.int16]
+    # an empty table touches no payload
+    assert src.payload_reads == ([(src.data_start, rows * 6)] if rows else [])
 
 
 def test_write_rejects_unsupported_dtype(tmp_path):
