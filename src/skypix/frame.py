@@ -26,6 +26,8 @@ _CHUNK = 1 << 20
 # windows classify the nested cells of this resolution (or of the frame's
 # own, when coarser) before any pixel center is tested
 _CELL_NSIDE = 32
+# radians added to the bounds of a window's bounding caps, for rounding
+_CAP_MARGIN = 1e-9
 
 CMB = "cmb"
 HP = "hp"
@@ -165,11 +167,12 @@ def assign_pixels(theta, phi, columns, nside, require_unique=False):
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
     pix = healpix.ang2pix(nside, theta, phi, healpix.NESTED)
-    unique, counts = np.unique(pix, return_counts=True)
-    if len(unique) == len(pix):
+    keys = np.sort(pix)
+    repeated = keys[1:] == keys[:-1]
+    if not repeated.any():
         return SkyFrame(pix, healpix.NESTED, nside, columns, CMB)
     if require_unique:
-        clashing = unique[counts > 1]
+        clashing = np.unique(keys[1:][repeated])
         rows = np.nonzero(np.isin(pix, clashing))[0]
         raise UniquenessError(
             "%d rows collide in %d pixels (rows %s...)"
@@ -202,13 +205,36 @@ def _cell_bounds(nside, region):
     return all_in, any_in, 2 * (nside // cells).bit_length() - 2
 
 
+def _cap_rows(theta, phi, caps):
+    """Indices of the rows that may lie in a cap ``(theta_c, phi_c, r)``
+    (all rows when ``caps`` is None): within ``r`` of ``theta_c`` and, if
+    the cap reaches neither pole, within ``asin(sin r / sin theta_c)`` of
+    ``phi_c`` mod 2 pi, or with ``|phi| >= 2**20``, which rounds mod 2 pi."""
+    if caps is None:
+        return np.arange(len(theta))
+    near = np.zeros(len(theta), dtype=bool)
+    for tc, pc, r in caps:
+        r += _CAP_MARGIN
+        part = np.abs(theta - tc) <= r
+        if r < tc < math.pi - r:
+            # 1e-15 covers the ratio's rounding, where asin is steep
+            half = math.asin(min(1.0, math.sin(r) / math.sin(tc) + 1e-15))
+            off = np.abs(np.fmod(phi - pc, 2 * math.pi))   # fmod is exact
+            part &= ((off <= half + _CAP_MARGIN)
+                     | (off >= 2 * math.pi - half - _CAP_MARGIN)
+                     | (np.abs(phi) >= 2.0 ** 20))
+        near |= part
+    return np.flatnonzero(near)
+
+
 def _center_membership(frame, region):
     """Whether each row's coordinates fall inside the region.
 
     Rows keyed by pixel centers are decided a whole nested cell at a time
     (:func:`_cell_bounds`); only those in cells that straddle the region's
     boundary go through ``pix2vec`` and ``contains``.  Rows with explicit
-    coordinates are all tested."""
+    coordinates go through ``sph2cart`` and ``contains`` only where they
+    may lie in the region's bounding caps (:func:`_cap_rows`)."""
     if frame.coords is None:
         all_in, any_in, shift = _cell_bounds(frame.nside, region)
         nest = frame.pix
@@ -217,11 +243,11 @@ def _center_membership(frame, region):
         cell = (nest - 1) >> shift
         keep = all_in[cell]
         test = np.flatnonzero(any_in[cell] & ~keep)
-    else:   # every row, a slice (a view) at a time
+    else:
         keep = np.zeros(len(frame), dtype=bool)
-        test = None
-    for lo in range(0, len(frame) if test is None else len(test), _CHUNK):
-        rows = slice(lo, lo + _CHUNK) if test is None else test[lo:lo + _CHUNK]
+        test = _cap_rows(*frame.coords, region.caps())
+    for lo in range(0, len(test), _CHUNK):
+        rows = test[lo:lo + _CHUNK]
         keep[rows] = region.contains(frame.positions(rows))
     return keep
 

@@ -61,6 +61,10 @@ def renyi_function(frame, column, q_min=1.01, q_max=10.0, n_points=20,
 
     Returns ``(q, T)`` arrays.  Uniform mass over n boxes gives the
     constant log2(n)/box_level; a single massive box gives 0.
+
+    Box masses are summed with ``np.bincount`` on the box indices when the
+    frame has at least ``12 * 4**box_level`` rows (one per box), else on
+    ``np.unique``'s inverse; both give the same masses, so the same T(q).
     """
     if n_points < 2:
         raise DomainError("n_points must be >= 2")
@@ -76,9 +80,10 @@ def renyi_function(frame, column, q_min=1.01, q_max=10.0, n_points=20,
         raise DomainError("empty frame")
     pix = (frame.pix if frame.scheme == healpix.NESTED
            else healpix.ring2nest(frame.nside, frame.pix))
-    _, inverse = np.unique((pix - 1) >> (2 * (j - box_level)),
-                           return_inverse=True)
-    masses = np.bincount(inverse, weights=values - values.min())
+    boxes = (pix - 1) >> (2 * (j - box_level))
+    if 12 * 4 ** box_level > len(pix):   # more boxes than rows
+        boxes = np.unique(boxes, return_inverse=True)[1]
+    masses = np.bincount(boxes, values - values.min())[np.bincount(boxes) > 0]
     total = masses.sum()
     if total <= 0:
         raise DomainError("degenerate measure: total mass is zero")
@@ -142,16 +147,25 @@ def qq_pairs(frame, column, region_a, region_b, n_quantiles=99):
 
 def angular_marginals(frame, column, theta_bins=18, phi_bins=36):
     """Per-bin mean and count of the column against colatitude and
-    longitude; empty bins report count 0 and NaN mean."""
+    longitude; empty bins report count 0 and NaN mean.
+
+    Bins are the ``linspace`` intervals of [0, pi] and [0, 2 pi], closed on
+    the left; longitudes outside [0, 2 pi) are first reduced mod 2 pi, and
+    an angle at the top edge (or out of range) counts in the end bin."""
     if theta_bins < 1 or phi_bins < 1:
         raise DomainError("bin counts must be >= 1")
     theta, phi = frame.angles()
+    if np.any((phi < 0) | (phi >= 2 * math.pi)):
+        phi = phi % (2 * math.pi)
     values = np.asarray(frame.column(column), dtype=np.float64)
     out = {}
     for name, angles, nbins, top in (("theta", theta, theta_bins, math.pi),
                                      ("phi", phi, phi_bins, 2 * math.pi)):
         edges = np.linspace(0.0, top, nbins + 1)
-        idx = np.clip(np.digitize(angles, edges) - 1, 0, nbins - 1)
+        # the scaled angle is off by at most one bin; the edges decide
+        idx = np.clip(angles * (nbins / top), 0, nbins - 1).astype(np.int64)
+        idx += (angles >= edges[idx + 1]) & (idx < nbins - 1)
+        idx -= (angles < edges[idx]) & (idx > 0)
         counts = np.bincount(idx, minlength=nbins).astype(np.float64)
         sums = np.bincount(idx, weights=values, minlength=nbins)
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -150,8 +151,16 @@ def test_assign_collision_makes_hp_frame():
 def test_assign_require_unique_raises():
     theta = np.array([0.01, 0.012])
     phi = np.array([0.0, 0.1])
-    with pytest.raises(UniquenessError):
+    with pytest.raises(UniquenessError, match=r"^2 rows collide in 1 pixels"):
         frame.assign_pixels(theta, phi, {}, 1, require_unique=True)
+    # three rows in one pixel and two in another, one row alone
+    theta = np.array([0.01, 3.1, 0.012, 0.011, 1.6, 3.12])
+    phi = np.array([0.0, 0.1, 0.1, 0.2, 0.3, 0.2])
+    with pytest.raises(UniquenessError) as info:
+        frame.assign_pixels(theta, phi, {}, 1, require_unique=True)
+    assert str(info.value).startswith("5 rows collide in 2 pixels (rows [")
+    rows = re.findall(r"(\d+)\)?[,\]]", str(info.value))
+    assert [int(r) for r in rows] == [0, 1, 2, 3, 5]
 
 
 def test_assign_many_points_keeps_row_count():
@@ -315,6 +324,87 @@ def test_window_pixels_match_full_resolution(data, level, size, ring):
     assert_array_equal(frame.window_pixels(nside, region, scheme), expected)
     sky = frame.full_frame(nside, scheme)
     assert_array_equal(frame.extract_window(sky, region).pix, expected)
+    # the same centers as explicit hp coordinates, longitudes wrapped by up
+    # to 1.5e5 turns: the bounding-cap prefilter must keep every row that
+    # contains() accepts
+    theta, phi = sp.pix2ang(nside, pix, scheme)
+    turns = np.random.default_rng(level).integers(-150_000, 150_000, pix.size)
+    _assert_hp_membership(theta, phi + 2 * math.pi * turns, region)
+
+
+def _assert_hp_membership(theta, phi, region):
+    """``extract_window`` of an hp frame with these coordinates keeps
+    exactly the rows that ``contains`` accepts."""
+    rows = np.arange(theta.size)
+    f = frame.SkyFrame(np.ones(theta.size, dtype=np.int64), sp.NESTED, 1,
+                       {"row": rows}, frame.HP, coords=(theta, phi))
+    expected = rows[region.contains(geom.sph2cart(theta, phi))]
+    assert_array_equal(frame.extract_window(f, region).column("row"),
+                       expected)
+
+
+def _shell(center, dist, n, rng):
+    """``(theta, phi)`` of ``n`` points ``dist`` radians from ``center``."""
+    return geom.cart2sph(np.array([geom.sph2cart(*_offset(
+        center, b, d)) for b, d in zip(rng.uniform(0, 2 * math.pi, n),
+                                       np.broadcast_to(dist, n))]))
+
+
+def test_hp_membership_matches_every_row_at_the_edge_tolerance():
+    """Points straddling each member's boundary and its edge-tolerance band
+    (1e-12 / sin r wide on a disc of radius r, and wider at the sharp tip
+    of a thin triangle), near both poles and with longitudes up to 1e6 in
+    magnitude, against caps that reach a pole or not."""
+    rng = np.random.default_rng(20)
+    # a triangle 1e-9 rad thick along the equator from 0 to 2: contains()
+    # takes equator points up to ~1e-3 rad beyond either end
+    h = math.pi / 2
+    sliver = [(h, 0.0), (h + 1e-9, 1.0), (h, 2.0)]
+    tips = np.concatenate([-np.logspace(-12, -1, 45),
+                           2 + np.logspace(-12, -1, 45)])
+    members = [geom.disc(1.0, 2.0, 1e-6), geom.disc(0.3, 5.0, 0.3),
+               geom.disc(3.0, 1.0, 0.2), geom.disc(1.6, 4.0, 2.5),
+               geom.polygon(sliver), geom.polygon(sliver, assumed_convex=True),
+               geom.polygon([(0.2, 0.0), (0.2, 2.0), (0.05, 1.0), (0.2, 4.0)]),
+               geom.polygon([(2.9, 0.0), (2.9, 2.1), (3.1, 4.2)], True)]
+    regions = [geom.WindowSet((w,)) for w in members] + [
+        geom.WindowSet((members[0], members[4], members[1].complemented())),
+        geom.WindowSet((members[6], members[7])),
+        geom.WindowSet((members[2].complemented(),))]
+    for region in regions:
+        theta, phi = [np.arccos(rng.uniform(-1, 1, 2000))], [
+            rng.uniform(-7, 14, 2000)]
+        for w in region.windows:
+            anchors = ([w.center.to_vector()] if w.kind == "disc"
+                       else list(w.vertex_array()))
+            radii = [w.r, math.acos(math.cos(w.r) - 1e-12)] if w.r else [0]
+            for a in anchors:
+                for r in radii:
+                    for scale in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+                        t, p = _shell(a, r + scale * rng.uniform(-1, 1, 50),
+                                      50, rng)
+                        theta.append(t)
+                        phi.append(p)
+        theta = np.concatenate(theta + [rng.uniform(0, 0.05, 200),
+                                        math.pi - rng.uniform(0, 0.05, 200),
+                                        np.full(tips.size, h)])
+        phi = np.concatenate(phi + [rng.uniform(0, 7, 400), tips])
+        turns = rng.integers(-150_000, 150_000, phi.size)
+        _assert_hp_membership(theta, phi + 2 * math.pi * turns, region)
+
+
+def test_hp_membership_keeps_long_longitudes():
+    """Longitudes of 1e9 reduce mod 2 pi with an error of ~4e-8 rad in
+    floating point (1e6 with ~4e-11), while sph2cart reduces them exactly:
+    rows 1e-12 inside a disc's eastern or western tip must stay in."""
+    for lon in (1e9, -1e9, 1e6 + 0.5, -1e6 - 0.5):
+        true = math.atan2(math.sin(lon), math.cos(lon))
+        for side in (1.0, -1.0):
+            w = geom.disc(math.pi / 2, (true - side * (0.1 - 1e-12)) % (
+                2 * math.pi), 0.1)
+            _assert_hp_membership(np.array([math.pi / 2]), np.array([lon]),
+                                  geom.WindowSet((w,)))
+            assert w.contains(geom.sph2cart(math.pi / 2, lon))
 
 
 @settings(max_examples=25, deadline=None)

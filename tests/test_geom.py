@@ -303,6 +303,24 @@ def test_convex_flag_agrees_with_triangulated_test():
     assert np.array_equal(w1.contains(pts), w2.contains(pts))
 
 
+def test_bounding_caps_hold_what_contains_accepts():
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(20000, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    d = geom.disc(1.0, 2.0, 0.5)
+    poly = geom.polygon([(1.2, 0.1), (1.3, 0.8), (0.7, 0.9), (1.0, 0.5)])
+    for w in (d, poly, geom.disc(0.1, 0.0, 2.9)):
+        theta, phi, r = w.base_cap
+        inside = pts[w.contains(pts)]
+        assert inside.size and geom.geodesic_distance(
+            inside, geom.sph2cart(theta, phi)).max() <= r
+    assert d.base_cap[2] > 0.5 and math.isclose(d.base_cap[2], 0.5,
+                                                 rel_tol=1e-9)
+    assert len(geom.WindowSet((d, poly, d.complemented())).caps()) == 2
+    for members in ((), (d.complemented(),)):
+        assert geom.WindowSet(members).caps() is None
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.1, 3.0), st.floats(0, 6.28), st.floats(0.05, 3.0))
 def test_complement_consistency(theta, phi, r):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import skypix as sp
 from skypix import frame, geom
@@ -116,6 +116,35 @@ def test_renyi_handles_ring_frames():
     q1, t1 = renyi_function(nest, "I", 1.5, 5.0, 8, 2)
     q2, t2 = renyi_function(ring, "I", 1.5, 5.0, 8, 2)
     assert_allclose(t1, t2, rtol=1e-12)
+
+
+def _renyi_by_unique(f, box_level, q):
+    """T(q) with box masses summed over ``np.unique``'s inverse."""
+    j = f.nside.bit_length() - 1
+    pix = f.pix if f.scheme == sp.NESTED else sp.ring2nest(f.nside, f.pix)
+    values = f.column("I")
+    _, inverse = np.unique((pix - 1) >> (2 * (j - box_level)),
+                           return_inverse=True)
+    masses = np.bincount(inverse, weights=values - values.min())
+    mu = masses / masses.sum()
+    mu = mu[mu > 0]
+    return np.array([math.log2(float((mu ** qi).sum()))
+                     / ((qi - 1) * -box_level) for qi in q])
+
+
+@pytest.mark.parametrize("rows", [767, 768, 3000])
+def test_renyi_box_sums_match_unique_on_both_sides_of_the_rule(rows):
+    # nside 16: 12 * 4**3 = 768 boxes at level 3; a frame of 767 rows
+    # sums them over np.unique, one of 768 with bincount.  Values repeat
+    # their minimum, so some boxes hold zero mass, and keys repeat (hp)
+    rng = np.random.default_rng(rows)
+    pix = rng.integers(1, sp.npix(16) + 1, rows)
+    values = np.round(rng.uniform(0, 3, rows)) * rng.uniform(1, 2, rows)
+    for scheme in (sp.NESTED, sp.RING):
+        f = frame.SkyFrame(pix, scheme, 16, {"I": values}, frame.HP)
+        for box_level in (1, 2, 3, 4):
+            q, t = renyi_function(f, "I", 1.01, 10.0, 20, box_level)
+            assert np.array_equal(t, _renyi_by_unique(f, box_level, q))
 
 
 def test_renyi_errors():
@@ -283,3 +312,52 @@ def test_marginals_counts_total(theta_bins, phi_bins):
     out = angular_marginals(f, "I", theta_bins, phi_bins)
     assert out["theta"]["count"].sum() == sp.npix(4)
     assert out["phi"]["count"].sum() == sp.npix(4)
+
+
+def _digitized(angles, nbins, top):
+    """The bins of ``np.digitize`` on the ``linspace`` edges, clipped."""
+    edges = np.linspace(0.0, top, nbins + 1)
+    return np.clip(np.digitize(angles, edges) - 1, 0, nbins - 1)
+
+
+@pytest.mark.parametrize("nbins", [1, 2, 3, 7, 18, 36, 100, 1000, 4096, 4097])
+def test_marginal_bins_match_digitize_at_every_edge(nbins):
+    # each row a distinct power of two, so a bin's sum names its rows
+    for name, top in (("theta", math.pi), ("phi", 2 * math.pi)):
+        edges = np.linspace(0.0, top, nbins + 1)
+        angles = np.concatenate([edges, np.nextafter(edges, 0),
+                                 np.nextafter(edges, 4.0), [top]])
+        if name == "phi":
+            angles = np.concatenate([angles, [-0.5, -1e-300, 7.0, 1e300,
+                                              -1e300, 1e6 + 0.25]])
+            theta, phi = np.full(angles.size, 1.0), angles
+            reduced = np.where((phi < 0) | (phi >= top), phi % top, phi)
+        else:
+            angles = angles[angles <= math.pi]
+            theta, phi = angles, np.full(angles.size, 1.0)
+            reduced = angles
+        for lo in range(0, angles.size, 60):
+            sel = slice(lo, lo + 60)
+            weights = 2.0 ** np.arange(angles[sel].size)
+            f = frame.SkyFrame(np.ones(weights.size, dtype=np.int64),
+                               sp.NESTED, 1, {"I": weights}, frame.HP,
+                               coords=(theta[sel], phi[sel]))
+            out = angular_marginals(f, "I", nbins, nbins)[name]
+            bins = _digitized(reduced[sel], nbins, top)
+            counts = np.bincount(bins, minlength=nbins)
+            assert np.array_equal(out["count"], counts)
+            means = np.divide(np.bincount(bins, weights, minlength=nbins),
+                              counts, out=np.full(nbins, np.nan),
+                              where=counts > 0)
+            assert_array_equal(out["mean"], means)
+
+
+def test_marginals_reduce_longitudes_outside_0_2pi():
+    phi = np.array([-0.5, 2 * math.pi - 0.5, 7.0, 7.0 - 2 * math.pi])
+    f = frame.assign_pixels(np.full(4, 1.0), phi, {"I": [1.0, 2.0, 4.0, 8.0]},
+                            1)
+    assert f.mode == frame.HP
+    out = angular_marginals(f, "I", 18, 36)["phi"]
+    assert np.flatnonzero(out["count"]).tolist() == [4, 33]
+    assert out["count"][[4, 33]].tolist() == [2, 2]
+    assert out["mean"][[4, 33]].tolist() == [6.0, 1.5]
