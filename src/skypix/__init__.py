@@ -21,7 +21,7 @@ from .geom import (
 from .fits import MapSource, open_map, write_map
 from .frame import (
     SkyFrame, full_frame, frame_from_map, assign_pixels, extract_window,
-    sample_frame, geo_area, bind_frames, summarize,
+    sample_frame, geo_area, bind_frames, summarize, window_mask,
 )
 from . import geostat
 

@@ -6,7 +6,8 @@ writes them.  The leading key columns (pixel indices, multipoles, or a
 label such as an axis name) are written with ``str``; every other column
 is float64 written as the shortest ``repr``, so values round-trip bit for
 bit.  Integer keys are parsed as int64 and never pass through float64,
-which holds them exactly up to ``12 * 4**29``.
+which holds them exactly up to ``12 * 4**29``.  A column a reader leaves
+unconverted must still have a cell in every row.
 """
 
 import csv
@@ -62,17 +63,20 @@ def read_table(path, check_header, keys, error):
     """Header and columns of a table written by :func:`write_table`.
 
     ``check_header`` vets the header row before the body is parsed.
-    ``keys`` holds the dtypes of the leading key columns: ``(np.int64,)``
-    for pixel or multipole keys, ``(object,)`` for a text label (each cell
-    a ``str``), ``()`` for none.  The remaining columns come back as
-    float64.  Empty lines are skipped, and a malformed cell or a row of the
-    wrong length raises ``error`` naming the file.
+    ``keys`` holds the dtypes of the leading columns: ``np.int64`` for
+    pixel or multipole keys, ``object`` for a text label (each cell a
+    ``str``), and ``None`` for a column every row must have but that is not
+    converted (it comes back as None).  The remaining columns come back as
+    float64.  Empty lines are skipped, and a row of the wrong length or a
+    malformed cell in a converted column raises ``error`` naming the file.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
         check_header(header)
-        dtype = np.dtype([("f%d" % i, keys[i] if i < len(keys) else np.float64)
-                          for i in range(len(header))])
+        kinds = (list(keys) + [np.float64] * len(header))[:len(header)]
+        # a one-byte field, unlike usecols, keeps loadtxt's cell count
+        dtype = np.dtype([("f%d" % i, "S1" if k is None else k)
+                          for i, k in enumerate(kinds)])
         with warnings.catch_warnings():
             # a header without rows is an empty table, not a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -82,4 +86,5 @@ def read_table(path, check_header, keys, error):
             except ValueError as exc:
                 raise error("malformed CSV %s: %s" % (path, exc)) from None
     # contiguous columns, not strided views pinning the whole record array
-    return header, [data[name].copy() for name in dtype.names]
+    return header, [None if k is None else data["f%d" % i].copy()
+                    for i, k in enumerate(kinds)]

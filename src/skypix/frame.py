@@ -176,7 +176,7 @@ def assign_pixels(theta, phi, columns, nside, require_unique=False):
         rows = np.nonzero(np.isin(pix, clashing))[0]
         raise UniquenessError(
             "%d rows collide in %d pixels (rows %s...)"
-            % (len(rows), len(clashing), list(rows[:10])))
+            % (len(rows), len(clashing), rows[:10].tolist()))
     return SkyFrame(pix, healpix.NESTED, nside, columns, HP,
                     coords=(theta, phi))
 
@@ -227,22 +227,24 @@ def _cap_rows(theta, phi, caps):
     return np.flatnonzero(near)
 
 
-def _center_membership(frame, region):
-    """Whether each row's coordinates fall inside the region.
+def window_mask(frame, region):
+    """Boolean mask of the rows whose coordinates fall inside the region.
 
     Rows keyed by pixel centers are decided a whole nested cell at a time
     (:func:`_cell_bounds`); only those in cells that straddle the region's
     boundary go through ``pix2vec`` and ``contains``.  Rows with explicit
     coordinates go through ``sph2cart`` and ``contains`` only where they
     may lie in the region's bounding caps (:func:`_cap_rows`)."""
+    region = WindowSet(region)
     if frame.coords is None:
         all_in, any_in, shift = _cell_bounds(frame.nside, region)
         nest = frame.pix
         if frame.scheme != healpix.NESTED:
             nest = healpix.ring2nest(frame.nside, nest)
-        cell = (nest - 1) >> shift
-        keep = all_in[cell]
-        test = np.flatnonzero(any_in[cell] & ~keep)
+        # 2: the cell is inside, 1: it straddles the boundary, 0: outside
+        state = (all_in + any_in.astype(np.int8))[(nest - 1) >> shift]
+        keep = state == 2
+        test = np.flatnonzero(state == 1)
     else:
         keep = np.zeros(len(frame), dtype=bool)
         test = _cap_rows(*frame.coords, region.caps())
@@ -253,11 +255,10 @@ def _center_membership(frame, region):
 
 
 def extract_window(frame, region):
-    """Rows whose coordinates fall inside the region (pixel centers decide
-    membership for frames without explicit coordinates); the region is
-    recorded as provenance."""
+    """The rows :func:`window_mask` keeps; the region is recorded as
+    provenance."""
     region = WindowSet(region)
-    out = frame.take(_center_membership(frame, region))
+    out = frame.take(window_mask(frame, region))
     out.windows = list(frame.windows) + [region]
     return out
 
@@ -273,8 +274,7 @@ def window_pixels(nside, region, scheme=healpix.NESTED):
     _, any_in, shift = _cell_bounds(nside, region)
     pix = ((np.flatnonzero(any_in)[:, None] << shift)
            + np.arange(1, (1 << shift) + 1)).ravel()
-    pix = pix[_center_membership(SkyFrame(pix, healpix.NESTED, nside),
-                                 region)]
+    pix = pix[window_mask(SkyFrame(pix, healpix.NESTED, nside), region)]
     if scheme == healpix.NESTED:
         return pix
     return np.sort(healpix.nest2ring(nside, pix))
@@ -381,7 +381,9 @@ def write_csv(frame, path):
 def read_csv(path):
     """Load a frame written by :func:`write_csv` (sidecar required, and
     checked on an empty frame before the body is parsed); a sidecar or key
-    the frame rejects raises ``SchemaError`` naming both files."""
+    the frame rejects raises ``SchemaError`` naming both files.  A cmb
+    frame's ``theta`` and ``phi`` restate its pixel centers: every row must
+    have both cells, but they are not parsed."""
     sidecar = _sidecar_path(path)
     try:
         with open(sidecar) as fh:
@@ -406,7 +408,8 @@ def read_csv(path):
             raise SchemaError("frame CSV must start with pix,theta,phi")
 
     frame([], {})
+    keys = (np.int64,) if mode == HP else (np.int64, None, None)
     header, (pix, theta, phi, *data) = read_table(
-        path, check_header, (np.int64,), SchemaError)
+        path, check_header, keys, SchemaError)
     return frame(pix, dict(zip(header[3:], data)),
                  (theta, phi) if mode == HP else None)

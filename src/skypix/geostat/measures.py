@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import healpix
 from ..errors import DomainError, StratificationError
-from ..frame import extract_window
+from ..frame import CMB, extract_window, window_mask
 
 __all__ = ["entropy", "first_minkowski", "renyi_function", "q_statistic",
            "qq_pairs", "angular_marginals"]
@@ -99,32 +99,49 @@ def q_statistic(frame, column, strata):
     ``1 - sum_h N_h var_h / (N var)`` over the union of the strata.
 
     Strata must be non-empty and pairwise disjoint on the frame's pixels.
+    Strata are row masks (:func:`~skypix.frame.window_mask`), not sub-frames.
     Returns NaN when the union has zero variance.
     """
     if not strata:
         raise StratificationError("no strata given")
-    parts = [extract_window(frame, region) for region in strata]
-    for k, part in enumerate(parts):
-        if len(part) == 0:
+    masks = [window_mask(frame, region) for region in strata]
+    for k, mask in enumerate(masks):
+        if not mask.any():
             raise StratificationError("stratum %d holds no pixels" % k)
-    # a key may repeat within one stratum (hp frames), not across two
-    keys = np.concatenate([p.pix for p in parts])
-    owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
-    order = np.lexsort((owner, keys))
-    keys, owner = keys[order], owner[order]
-    shared = np.flatnonzero((keys[1:] == keys[:-1]) & (owner[1:] != owner[:-1]))
-    if shared.size:
-        k = shared[0]
+    shared = _shared_pixel(frame, masks)
+    if shared:
         raise StratificationError(
-            "strata overlap on pixel %d (strata %d and %d)"
-            % (keys[k], owner[k], owner[k + 1]))
-    values = [np.asarray(p.column(column), dtype=np.float64) for p in parts]
+            "strata overlap on pixel %d (strata %d and %d)" % shared)
+    col = np.asarray(frame.column(column), dtype=np.float64)
+    values = [col[mask] for mask in masks]
     pooled = np.concatenate(values)
     total_var = pooled.var()
     if total_var == 0:
         return float("nan")
     within = sum(v.size * v.var() for v in values)
     return float(1.0 - within / (pooled.size * total_var))
+
+
+def _shared_pixel(frame, masks):
+    """``(pixel, a, b)``: the smallest pixel two strata share and the first
+    two strata holding it, or None.  A cmb frame's keys are unique, so a
+    shared pixel is a row two masks hold; an hp frame's key may repeat
+    within one stratum, so each stratum's distinct keys are compared."""
+    if frame.mode == CMB:
+        seen, shared = np.zeros((2, len(frame)), dtype=bool)
+        for mask in masks:
+            shared |= seen & mask
+            seen |= mask
+        shared = frame.pix[shared]
+    else:
+        keys = np.sort(np.concatenate([np.unique(frame.pix[m])
+                                       for m in masks]))
+        shared = keys[1:][keys[1:] == keys[:-1]]
+    if not shared.size:
+        return None
+    pixel = shared.min()
+    a, b = [k for k, m in enumerate(masks) if pixel in frame.pix[m]][:2]
+    return pixel, a, b
 
 
 def qq_pairs(frame, column, region_a, region_b, n_quantiles=99):

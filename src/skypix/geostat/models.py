@@ -300,8 +300,7 @@ def fit_variogram(curve, family, weights="equal", fix_nugget=True, seed=0):
 
     def params(u):
         """(sigmasq, psi, kappa, kappa2, nugget) of log parameters ``u``."""
-        with np.errstate(over="ignore"):
-            sigmasq, psi, *rest = np.exp(u).tolist()
+        sigmasq, psi, *rest = np.exp(u).tolist()
         if family == "multiquadric":
             # exp() of a log psi within ~6e-17 of the box's edge 0 rounds
             # to 1.0, outside the shape's domain (0, 1)
@@ -313,18 +312,17 @@ def fit_variogram(curve, family, weights="equal", fix_nugget=True, seed=0):
         sigmasq, psi, kappa, kappa2, nugget = params(u)
         # overflow, 0/0 and inf*0 leave non-finite (or absurd) residuals;
         # _WALL there steers both optimizers away
-        with np.errstate(all="ignore"):
-            gm = sigmasq * (1.0 - _rho(family, lags, psi, kappa, kappa2))
-            gm += nugget
-            if weights == "cressie":
-                r = sqrt_w * (values / gm - 1.0)
-            else:
-                r = sqrt_w * (values - gm)
+        gm = sigmasq * (1.0 - _rho(family, lags, psi, kappa, kappa2))
+        gm += nugget
+        if weights == "cressie":
+            r = sqrt_w * (values / gm - 1.0)
+        else:
+            r = sqrt_w * (values - gm)
         return np.where(np.abs(r) < _WALL, r, _WALL)
 
     def objective(u):
         # the polish keeps to the box that bounds TRF
-        if np.any(u < lower) or np.any(u > upper):
+        if (u < lower).any() or (u > upper).any():
             return math.inf
         r = residual(u)
         return float(r @ r)
@@ -337,21 +335,23 @@ def fit_variogram(curve, family, weights="equal", fix_nugget=True, seed=0):
 
     best = None
     iterations = 0
-    for u0 in starts:
-        res = optimize.least_squares(
-            residual, np.clip(u0, lower, upper), bounds=(lower, upper),
-            method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        iterations += res.nfev
-        if best is None or res.cost < best.cost:
-            best = res
-    # the simplex keeps its start as a vertex, so it never ends above the
-    # TRF end it starts from
-    res = optimize.minimize(
-        objective, best.x, method="Nelder-Mead",
-        options={"maxiter": 10000, "xatol": 1e-13, "fatol": 1e-15,
-                 "adaptive": True})
-    iterations += res.nit
-
-    return VariogramFit(CovarianceModel(family, *params(res.x)),
-                        float(res.fun * count_scale), bool(res.success),
-                        iterations, weights)
+    # params and residual run only in here; one errstate for all their
+    # calls costs less than one per call
+    with np.errstate(all="ignore"):
+        for u0 in starts:
+            res = optimize.least_squares(
+                residual, np.clip(u0, lower, upper), bounds=(lower, upper),
+                method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            iterations += res.nfev
+            if best is None or res.cost < best.cost:
+                best = res
+        # the simplex keeps its start as a vertex, so it never ends above
+        # the TRF end it starts from
+        res = optimize.minimize(
+            objective, best.x, method="Nelder-Mead",
+            options={"maxiter": 10000, "xatol": 1e-13, "fatol": 1e-15,
+                     "adaptive": True})
+        iterations += res.nit
+        return VariogramFit(CovarianceModel(family, *params(res.x)),
+                            float(res.fun * count_scale), bool(res.success),
+                            iterations, weights)

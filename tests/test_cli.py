@@ -323,6 +323,40 @@ def test_malformed_frame_csv_cell_exits_2(runner, small_map, tmp_path):
     assert "s.csv" in result.output and "0.5x" in result.output
 
 
+@pytest.mark.parametrize("cells", [[b"1"], [b"1", b"1.5", b"2.5"],
+                                   [b"1", b"1.5", b"2.5", b"0.5", b"0.5"]])
+def test_frame_csv_row_of_wrong_length_exits_2(runner, small_map, tmp_path,
+                                               cells):
+    # a cmb frame's theta and phi are not parsed, but a row must hold them
+    frame_csv = tmp_path / "s.csv"
+    invoke(runner, ["sample", str(small_map), "--size", "50",
+                    "-o", str(frame_csv)])
+    lines = frame_csv.read_bytes().split(b"\r\n")
+    lines[8] = b",".join(cells)
+    frame_csv.write_bytes(b"\r\n".join(lines))
+    result = runner.invoke(cli.main, ["entropy", str(frame_csv)])
+    assert result.exit_code == 2
+    assert "s.csv" in result.output and "columns" in result.output
+
+
+def test_hp_frame_csv_malformed_theta_exits_2(runner, tmp_path):
+    # an hp frame's theta and phi are its coordinates, parsed as float64
+    rng = np.random.default_rng(2)
+    f = frame.assign_pixels(np.arccos(rng.uniform(-1, 1, 200)),
+                            rng.uniform(0, 2 * math.pi, 200),
+                            {"I": rng.standard_normal(200)}, 4)
+    assert f.mode == frame.HP
+    path = tmp_path / "hp.csv"
+    frame.write_csv(f, path)
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[5].split(b",")
+    lines[5] = b",".join([cells[0], b"0.5x"] + cells[2:])
+    path.write_bytes(b"\r\n".join(lines))
+    result = runner.invoke(cli.main, ["entropy", str(path)])
+    assert result.exit_code == 2
+    assert "hp.csv" in result.output and "0.5x" in result.output
+
+
 def test_variogram_degrees_converts_max_dist(runner, small_map, tmp_path):
     # math.radians(90.0) == math.pi / 2 exactly, so the curves match bytewise
     deg, rad = tmp_path / "deg.csv", tmp_path / "rad.csv"

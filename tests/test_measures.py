@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,47 @@ def test_qstat_repeated_key_within_one_stratum():
     with pytest.raises(StratificationError,
                        match=r"pixel %d \(strata 0 and 2\)" % pix[0]):
         q_statistic(f, "I", [north, south, geom.disc(0.0, 0.0, 0.05)])
+
+
+def test_qstat_overlap_on_unsorted_cmb_keys_names_smallest_pixel():
+    # a cmb frame in shuffled key order; strata 1 to 4 overlap in pairs,
+    # three of them on the smallest shared pixel, and stratum 0 on none
+    f = frame.full_frame(8, columns={"I": np.arange(768.0)})
+    f = f.take(np.random.default_rng(4).permutation(len(f)))
+    assert not np.all(np.diff(f.pix) > 0)
+    strata = [geom.disc(math.pi, 0.0, 0.3), geom.disc(1.0, 1.2, 0.5),
+              geom.disc(1.5, 0.8, 0.2), geom.disc(1.2, 0.5, 0.6),
+              geom.disc(1.5, 1.0, 0.6)]
+    held = [frame.extract_window(f, s).pix for s in strata]
+    owners = {}
+    for k, pix in enumerate(held):
+        for p in pix.tolist():
+            owners.setdefault(p, []).append(k)
+    pixel = min(p for p, ks in owners.items() if len(ks) > 1)
+    assert len(owners[pixel]) == 3
+    a, b = owners[pixel][:2]
+    with pytest.raises(StratificationError,
+                       match=r"^strata overlap on pixel %d \(strata %d and %d\)$"
+                       % (pixel, a, b)):
+        q_statistic(f, "I", strata)
+
+
+@pytest.mark.parametrize("scheme", ["nested", "ring"])
+def test_qstat_memory_is_bounded(scheme):
+    # two hemispheres over 2^17+ rows: the strata are row masks, not
+    # sub-frames, and cmb keys are not sorted to prove them disjoint
+    rng = np.random.default_rng(8)
+    f = frame.full_frame(128, scheme, {"I": rng.standard_normal(12 * 128**2)})
+    north = geom.disc(0.0, 0.0, math.pi / 2 - 1e-9)
+    south = geom.disc(math.pi, 0.0, math.pi / 2 - 1e-9)
+    tracemalloc.start()
+    try:
+        q = q_statistic(f, "I", [north, south])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 <= q < 0.01
+    assert peak < 43 * len(f)
 
 
 # ---------------------------------------------------------------------------
