@@ -84,6 +84,13 @@ def read_table(path, check_header, keys, error):
                 data = np.loadtxt(fh, dtype=dtype, delimiter=",",
                                   comments=None, ndmin=1)
             except ValueError as exc:
+                fh.seek(0)
+                for line, text in enumerate(fh, 1):
+                    cells = text.rstrip("\r\n").split(",")
+                    if len(cells) != len(header) and text.strip():
+                        exc = ("row at line %d has %d cells, the header %d"
+                               % (line, len(cells), len(header)))
+                        break
                 raise error("malformed CSV %s: %s" % (path, exc)) from None
     # contiguous columns, not strided views pinning the whole record array
     return header, [None if k is None else data["f%d" % i].copy()

@@ -12,13 +12,11 @@ variogram estimator is the classical
 and reports only the positive-lag bins.  The covariance subtracts the
 global sample mean.
 
-Pairs are found in one way: a k-d tree over the unit vectors of a row set
-yields, block pair by block pair, only the pairs whose chord can put them
-in range, and each block pair is binned before the next; blocks whose rows
-share one position, all at lag zero, are not paired.  The row set is the
-whole frame when at most ``pair_budget`` (default ``PAIR_BUDGET``)
-pairs are in range, and otherwise a seeded row subsample, drawn as
-``frame.sample_frame`` draws rows, whose counts are rescaled to all n rows.
+Pairs are found in one way: rows sorted by nested key fall in blocks that
+are nested HEALPix cells, and only the pairs whose chord can put them in
+range are binned, block pair by block pair; blocks of rows at one position
+(lag zero) are not paired.  The rows are the whole frame when at most
+``pair_budget`` (default ``PAIR_BUDGET``) pairs are in range, else a sample.
 """
 
 import math
@@ -26,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import geom
+from .. import geom, healpix
 from ..csvio import read_table, write_table
 from ..errors import DomainError, FormatError
 from ..frame import HP
 from ..rng import sample_without_replacement
 
 PAIR_BUDGET = 50_000_000
-_BLOCK = 256       # rows per k-d tree block, at most
+_BLOCK = 256       # a block is a nested cell of fewer rows, or a range
 
 
 @dataclass
@@ -82,38 +80,36 @@ class EmpiricalCurve:
         return cls(lags, values, counts, float(pos[-1] + pos[0]), pos.size)
 
 
-def _blocks(tree):
-    """Ranges of at most ``_BLOCK`` rows of ``tree.indices``, each within
-    one k-d subtree, so spatially compact.  A leaf holds more rows only
-    when they share one position, and is cut into several ranges."""
-    ranges, nodes = [], [tree.tree]
-    while nodes:
-        node = nodes.pop()
-        if node.children > _BLOCK and node.lesser is not None:
-            nodes += [node.greater, node.lesser]
-        else:
-            ranges += [(lo, min(lo + _BLOCK, node.end_idx))
-                       for lo in range(node.start_idx, node.end_idx, _BLOCK)]
-    return ranges
-
-
-def _layout(xyz):
-    """A k-d tree over ``xyz``, its rows in tree order, its blocks, the
-    center and chord radius of a sphere enclosing each block's rows, and
-    each block's position where all its rows share one (NaN elsewhere)."""
-    from scipy.spatial import cKDTree
-    tree = cKDTree(xyz)
-    pos = xyz[tree.indices]
-    ranges = _blocks(tree)
-    centers = np.array([pos[lo:hi].mean(axis=0) for lo, hi in ranges])
-    radii = np.array([np.linalg.norm(pos[lo:hi] - c, axis=1).max()
-                      for (lo, hi), c in zip(ranges, centers)])
-    # the ranges ascend and tile the rows, so each starts a reduceat run
-    starts = [lo for lo, _ in ranges]
+def _layout(frame, rows):
+    """``rows`` of ``frame`` sorted by nested key, their unit vectors, their
+    blocks (the coarsest nested cells of fewer than ``_BLOCK`` rows, fuller
+    pixels cut every ``_BLOCK``), and each block's center, chord radius and
+    shared position (NaN if none), taken from its rows, not its hp keys."""
+    nest = (frame.pix[rows] if frame.scheme == healpix.NESTED
+            else healpix.ring2nest(frame.nside, frame.pix[rows]))
+    order = np.argsort(nest, kind="stable")
+    rows, keys = rows[order], nest[order] - 1
+    cells, starts = np.arange(12), []
+    for shift in range(2 * frame.nside.bit_length() - 2, -1, -2):
+        lo, hi = np.searchsorted(keys, [cells << shift, (cells + 1) << shift])
+        split = (hi - lo >= _BLOCK) & (shift > 0)
+        starts.append(lo[~split & (hi > lo)])
+        cells = (4 * cells[split, None] + np.arange(4)).ravel()
+    # the cells kept tile the sorted rows; a fuller pixel is cut every _BLOCK
+    cut = _BLOCK + np.flatnonzero(keys[_BLOCK:] == keys[:-_BLOCK])
+    starts.append(cut[(cut - np.searchsorted(keys, keys[cut])) % _BLOCK == 0])
+    starts = np.sort(np.concatenate(starts))
+    sizes = np.diff(starts, append=len(rows))
+    pos = frame.positions(rows)
+    centers = np.add.reduceat(pos, starts) / sizes[:, None]
+    spread = sum((pos[:, k] - np.repeat(centers[:, k], sizes)) ** 2
+                 for k in range(3))
+    radii = np.sqrt(np.maximum.reduceat(spread, starts))
     low = np.minimum.reduceat(pos, starts)
     point = np.all(low == np.maximum.reduceat(pos, starts), axis=1)
     spots = np.where(point[:, None], low, np.nan)
-    return tree, pos, ranges, centers, radii, spots
+    ranges = np.column_stack([starts, starts + sizes]).tolist()
+    return rows, pos, ranges, centers, radii, spots
 
 
 def _coincident_pairs(pos):
@@ -196,28 +192,25 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
     n = len(values)
     if n < 2:
         raise DomainError("need at least two rows")
-    xyz = frame.positions()
     width = max_dist / bins
     field = values - values.mean() if mode == "cov" else values
     sums, counts = np.zeros(bins), np.zeros(bins)
 
-    # Pairs are found on rows in k-d tree order, where every block is a
-    # contiguous, spatially compact slice.
-    tree, pos, ranges, centers, radii, spots = _layout(xyz)
+    # Pairs are found on rows in nested-key order, each block a slice.
+    rows, pos, ranges, centers, radii, spots = _layout(frame, np.arange(n))
     lower, upper = _pair_bounds(ranges, centers, radii, max_dist)
     if lower > pair_budget and frame.mode == HP:
         # rows at one position sit at lag zero, outside every bin; those of
         # a cmb frame are distinct pixel centers
         lower -= _coincident_pairs(pos)
-    s, order = n, tree.indices
+    s = n
     if lower > pair_budget:
         s = max(2, int(n * math.sqrt(pair_budget / upper)))
     while True:
         if s < n:
-            rows = sample_without_replacement(n, s, seed) - 1
-            tree, pos, ranges, centers, radii, spots = _layout(xyz[rows])
-            order = rows[tree.indices]
-        fld, binned = field[order], 0
+            rows, pos, ranges, centers, radii, spots = _layout(
+                frame, sample_without_replacement(n, s, seed) - 1)
+        fld, binned = field[rows], 0
         for done, a, b in _pairs_within(pos, ranges, centers, radii, spots,
                                         max_dist):
             d = geom.geodesic_distance(pos.take(a, axis=0),
@@ -232,8 +225,8 @@ def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
             prod = fa * fb if mode == "cov" else (fa - fb) ** 2
             idx = np.ceil(d / width).astype(np.int64) - 1   # >= 0 as d > 0
             np.minimum(idx, bins - 1, out=idx)
-            np.add.at(sums, idx, prod)
-            np.add.at(counts, idx, 1.0)
+            sums += np.bincount(idx, prod, bins)
+            counts += np.bincount(idx, minlength=bins)
         else:
             return field, sums, counts, n * (n - 1) / (s * (s - 1))
         # over the budget: shrink s by the square root of the budget over

@@ -25,9 +25,8 @@ def brute_curves(xyz, values, max_dist, bins):
     counts = np.zeros(bins)
     iu, ju = np.triu_indices(n, k=1)
     lags = sp.geodesic_distance(xyz[iu], xyz[ju])
-    for i, j, d in zip(iu, ju, lags):
-        if d <= 0 or d > max_dist:
-            continue
+    keep = (lags > 0) & (lags <= max_dist)
+    for i, j, d in zip(iu[keep], ju[keep], lags[keep]):
         b = min(bins - 1, int(math.ceil(d / width)) - 1)
         cov_sum[b] += centered[i] * centered[j]
         var_sum[b] += (values[i] - values[j]) ** 2
@@ -70,18 +69,64 @@ def edge_cases():
             (f, 2 * pair_lag(f, 0, 1), 2)]
 
 
+def ring_frame():
+    """300 rows of an nside-8 map keyed in RING order."""
+    rng = np.random.default_rng(9)
+    f = frame.full_frame(8, sp.RING, {"I": rng.normal(size=sp.npix(8))})
+    return f.take(rng.permutation(sp.npix(8))[:300])
+
+
+def one_key_frame():
+    """600 hp rows all keyed by one nside-8 pixel, their coordinates spread
+    over the whole sphere."""
+    rng = np.random.default_rng(10)
+    theta, phi = np.arccos(rng.uniform(-1, 1, 600)), rng.uniform(0, 7, 600)
+    return frame.SkyFrame(np.full(600, 77), sp.NESTED, 8,
+                          {"I": rng.normal(size=600)}, mode=frame.HP,
+                          coords=(theta, phi))
+
+
+def clustered_frame():
+    """2,000 hp rows keyed at nside 64: 1,800 in a cluster of 0.01 rad
+    about the center of one nside-4 cell, and 200 uniform.  A trend in
+    theta keeps each covariance bin's mean of products well away from zero,
+    where summation order alone moves it by more than 1e-12 relative."""
+    rng = np.random.default_rng(11)
+    theta0, phi0 = sp.pix2ang(4, 70, sp.NESTED)
+    theta = np.concatenate([rng.normal(theta0, 0.01, 1800),
+                            np.arccos(rng.uniform(-1, 1, 200))])
+    phi = np.concatenate([rng.normal(phi0, 0.01, 1800),
+                          rng.uniform(0, 2 * math.pi, 200)])
+    values = 5 * np.cos(theta) + rng.normal(size=2000)
+    f = frame.assign_pixels(theta, phi, {"I": values}, 64)
+    assert f.mode == frame.HP
+    assert np.bincount((f.pix - 1) >> 8).max() > 1500   # nside-4 cells
+    return f
+
+
 def test_estimators_match_brute_force(random_frame):
     cases = [(random_frame, 2.0, 7), (random_frame, 0.4, 5),
-             (random_frame, math.pi, 9)] + edge_cases()
+             (random_frame, math.pi, 9)] + edge_cases() + [
+        (ring_frame(), 0.5, 6), (one_key_frame(), 0.3, 5),
+        (clustered_frame(), 0.008, 5)]
     for f, max_dist, bins in cases:
         cov = empirical_covariance(f, "I", max_dist, bins)
         var = empirical_variogram(f, "I", max_dist, bins)
-        bcov, bvar, bcounts = brute_curves(f.positions(), f.columns["I"],
-                                           max_dist, bins)
+        xyz = f.positions()
+        bcov, bvar, bcounts = brute_curves(xyz, f.columns["I"], max_dist,
+                                           bins)
         assert_allclose(cov.values[1:], bcov, rtol=1e-12)
         assert_allclose(var.values, bvar, rtol=1e-12)
         assert_array_equal(cov.counts[1:], bcounts)
         assert_array_equal(var.counts, bcounts)
+        # the bounds on the pairs in range, zero lags included
+        _, _, ranges, centers, radii, _ = empirical._layout(
+            f, np.arange(len(f)))
+        lower, upper = empirical._pair_bounds(ranges, centers, radii,
+                                              max_dist)
+        iu, ju = np.triu_indices(len(f), k=1)
+        within = np.sum(sp.geodesic_distance(xyz[iu], xyz[ju]) <= max_dist)
+        assert lower <= within <= upper
 
 
 def test_pair_at_max_dist_and_on_bin_edge_placement():
@@ -275,10 +320,10 @@ def test_blocks_of_one_position_are_not_paired(monkeypatch):
 # from the chord rule of sp.geodesic_distance
 SAMPLED_SHA256 = {
     "empirical_variogram": (
-        "d2eb591c007435189ce0b0accbf0567b491913ccb0555df0afb88a1fe590e9ab",
+        "c84b86385a2828400a62a2681eab677b619d75fdb678186855fefc5bf80a9b7b",
         "4c3610033f073ecce6a1e568aa6dcab05a46d335bb37469be32f3bbaf16fee62"),
     "empirical_covariance": (
-        "ebf9dbdd8b2c293febbc942cab176fa5751d5495ff9f4a4de3e581cac7f1330a",
+        "4eec626996e1b02af793e5b5ee00cc21fb5772669897c81662d9ba2aab774b84",
         "3988a3e6d2743843dc23f32968718eb9814701785116aa45a541d04aedd58860"),
 }
 
@@ -350,7 +395,7 @@ def test_pair_budget_of_one_bins_one_pair_of_two_rows():
 def test_sampled_variogram_within_noise_of_exact(monkeypatch, budget,
                                                  first_rows):
     # 10.1M of the pairs of 12,288 rows lie within 0.75 rad.  Their lower
-    # bound (1.17M, the pairs within each block) is over the first budget,
+    # bound (2.16M, from 192 blocks of 64) is over the first budget,
     # so a subsample is drawn at once; it is under the second, so the whole
     # frame is tried first.  A bin of m pairs among s rows of unit white
     # noise has a standard deviation of about sqrt(2/m + 2/s) about the

@@ -622,7 +622,8 @@ def test_cmb_csv_row_of_wrong_length_raises(tmp_path, edit, cell):
         cells.insert(cell + 1, b"0.5")
     lines[2] = b",".join(cells)
     path.write_bytes(b"\r\n".join(lines))
-    with pytest.raises(SchemaError, match="bad.csv"):
+    with pytest.raises(SchemaError, match="bad.csv: row at line 3 has %d "
+                       "cells, the header 4$" % len(cells)):
         frame.read_csv(path)
 
 
