@@ -67,31 +67,38 @@ def read_table(path, check_header, keys, error):
     pixel or multipole keys, ``object`` for a text label (each cell a
     ``str``), and ``None`` for a column every row must have but that is not
     converted (it comes back as None).  The remaining columns come back as
-    float64.  Empty lines are skipped, and a row of the wrong length or a
-    malformed cell in a converted column raises ``error`` naming the file.
+    float64.  Empty lines are skipped, and a row of the wrong length, a
+    malformed cell in a converted column or a byte that is not UTF-8 raises
+    ``error`` naming the file.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
-        check_header(header)
-        kinds = (list(keys) + [np.float64] * len(header))[:len(header)]
-        # a one-byte field, unlike usecols, keeps loadtxt's cell count
-        dtype = np.dtype([("f%d" % i, "S1" if k is None else k)
-                          for i, k in enumerate(kinds)])
-        with warnings.catch_warnings():
-            # a header without rows is an empty table, not a warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                data = np.loadtxt(fh, dtype=dtype, delimiter=",",
-                                  comments=None, ndmin=1)
-            except ValueError as exc:
-                fh.seek(0)
-                for line, text in enumerate(fh, 1):
-                    cells = text.rstrip("\r\n").split(",")
-                    if len(cells) != len(header) and text.strip():
-                        exc = ("row at line %d has %d cells, the header %d"
-                               % (line, len(cells), len(header)))
-                        break
-                raise error("malformed CSV %s: %s" % (path, exc)) from None
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), [])
+            check_header(header)
+            kinds = (list(keys) + [np.float64] * len(header))[:len(header)]
+            # a one-byte field, unlike usecols, keeps loadtxt's cell count
+            dtype = np.dtype([("f%d" % i, "S1" if k is None else k)
+                              for i, k in enumerate(kinds)])
+            with warnings.catch_warnings():
+                # a header without rows is an empty table, not a warning
+                warnings.filterwarnings("ignore",
+                                        "loadtxt: input contained no data")
+                try:
+                    data = np.loadtxt(fh, dtype=dtype, delimiter=",",
+                                      comments=None, ndmin=1)
+                except ValueError as exc:
+                    fh.seek(0)
+                    for line, text in enumerate(fh, 1):
+                        cells = text.rstrip("\r\n").split(",")
+                        if len(cells) != len(header) and text.strip():
+                            exc = ("row at line %d has %d cells, the header %d"
+                                   % (line, len(cells), len(header)))
+                            break
+                    raise error("malformed CSV %s: %s" % (path, exc)) from None
+    except UnicodeDecodeError as exc:
+        # the text is decoded a chunk at a time, so the header read, the
+        # parse and the rescan of a bad row can each meet a non-UTF-8 byte
+        raise error("malformed CSV %s: %s" % (path, exc)) from None
     # contiguous columns, not strided views pinning the whole record array
     return header, [None if k is None else data["f%d" % i].copy()
                     for i, k in enumerate(kinds)]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError, GeometryError
+from .healpix import _by_block, _flat_inputs
 
 CARTESIAN = "cartesian"
 SPHERICAL = "spherical"
@@ -55,12 +56,21 @@ def cart2sph(xyz):
     return theta, phi
 
 
+def _sph2cart_block(theta, phi):
+    st = np.sin(theta)
+    return [np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
+                     axis=-1)]
+
+
 def sph2cart(theta, phi):
-    """``(theta, phi)`` -> unit vectors, stacked on the last axis."""
+    """``(theta, phi)`` -> unit vectors, stacked on the last axis; arrays
+    broadcast.  Evaluated on 2**15-row blocks by the shared evaluator,
+    :func:`healpix._by_block`: a call holds its output plus one block of
+    temporaries."""
     theta = np.asarray(theta, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    return _by_block(_sph2cart_block, *_flat_inputs(theta, phi), [(3,)],
+                     np.float64)[0]
 
 
 def geo2sph(lon, lat):
@@ -119,12 +129,21 @@ def hms_to_degrees(hours, minutes, seconds):
 def geodesic_distance(a, b):
     """Great-circle angle between unit vectors, ``2 asin(min(c/2, 1))`` of
     their chord ``c = |a - b|``: 0 exactly when they coincide, and accurate
-    to rounding at small angles, where an arccos of their dot rounds to 0."""
+    to rounding at small angles, where an arccos of their dot rounds to 0.
+    ``(..., 3)`` arrays broadcast, and are evaluated on 2**15-row blocks by
+    the shared evaluator, :func:`healpix._by_block`: a call holds its output
+    plus one block of temporaries."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    # squared in place: one temporary (..., 3) array, as for a dot product
+    d, = _by_block(_geodesic_block, *_flat_inputs(a, b, core=1),
+                   dtype=np.float64)
+    return d[()]                # a numpy scalar for two vectors
+
+
+def _geodesic_block(a, b):
+    # squared in place: one temporary block of (a - b), as for a dot product
     half_chord = np.einsum("...i->...", (a - b) ** 2) ** 0.5 / 2
-    return 2 * np.arcsin(np.minimum(half_chord, 1.0))
+    return [2 * np.arcsin(np.minimum(half_chord, 1.0))]
 
 
 def extremal_distance(points, target=None, mode="max"):

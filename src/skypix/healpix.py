@@ -26,7 +26,10 @@ along the face edges):
 
 Array entry points run every zone's formula on blocks of 2**15 keys and keep
 one result per key with a select; divisions and remainders by powers of two
-are shifts and masks, and bit interleaving reads 16-bit lookup tables.
+are shifts and masks, and bit interleaving reads 16-bit lookup tables.  The
+per-row coordinate kernels (:func:`vec2pix` here, ``geom.sph2cart`` and
+``geom.geodesic_distance``) share the one block evaluator, :func:`_by_block`:
+a call holds its outputs plus one block of temporaries.
 """
 
 import math
@@ -191,7 +194,8 @@ def _nest_compose(nside, f, x, y):
     two_j = 2 * (nside.bit_length() - 1)
     out = (f << two_j) | _SPREAD16[x & 0xFFFF] | (_SPREAD16[y & 0xFFFF] << 1)
     if nside > 1 << 16:
-        out |= (_SPREAD16[x >> 16] << 32) | (_SPREAD16[y >> 16] << 33)
+        out |= _SPREAD16[x >> 16] << 32
+        out |= _SPREAD16[y >> 16] << 33
     return out
 
 
@@ -216,13 +220,19 @@ def _ringpos_to_fxy(nside, jr, jp, nr, kshift):
     irm = 2 * nside + 2 - ire
     ifm = (jp - (ire >> 1) + nside - 1) >> j
     ifp = (jp - (irm >> 1) + nside - 1) >> j
-    feq = _select(ifp == ifm, ifp | 4, _select(ifp < ifm, ifp, ifm + 8))
-    f = _select(jr < nside, fcap, _select(jr > 3 * nside, fcap + 8, feq))
+    f = _select(jr < nside, fcap,
+                _select(jr > 3 * nside, fcap + 8, _eq_face(ifp, ifm)))
 
     irt = jr - _JRLL[f] * nside + 1
     ipt = 2 * jp - _JPLL[f] * nr - kshift - 1
     ipt = _select(ipt >= 2 * nside, ipt - 8 * nside, ipt)
     return f, (ipt - irt) >> 1, (-ipt - irt) >> 1
+
+
+def _eq_face(ifp, ifm):
+    """Base face of belt keys whose edge lines fall in face columns ``ifp``
+    and ``ifm``."""
+    return _select(ifp == ifm, ifp | 4, _select(ifp < ifm, ifp, ifm + 8))
 
 
 def _ring_decompose(nside, p0):
@@ -271,12 +281,24 @@ def _by_block(kernel, shape, inputs, trailing=((),), dtype=np.int64):
     """``kernel`` over blocks of ``_BLOCK`` elements of the flat ``inputs``,
     returning one block of each output; output ``i`` has shape ``shape +
     trailing[i]``.  Temporaries are a block long, so they stay in cache."""
-    outs = [np.empty((math.prod(shape),) + t, dtype=dtype) for t in trailing]
-    for start in range(0, len(outs[0]), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        for out, part in zip(outs, kernel(*[a[block] for a in inputs])):
-            out[block] = part
+    n = len(inputs[0])
+    outs = [np.empty((n,) + t, dtype) for t in trailing]
+    for lo in range(0, n, _BLOCK):
+        parts = kernel(*[a[lo:lo + _BLOCK] for a in inputs])
+        for out, part in zip(outs, parts):
+            out[lo:lo + _BLOCK] = part
     return [out.reshape(shape + t) for out, t in zip(outs, trailing)]
+
+
+def _flat_inputs(*arrays, core=0):
+    """The broadcast shape of ``arrays`` less its last ``core`` axes, and the
+    arrays broadcast and flattened over it for :func:`_by_block`: views,
+    copied only where an input broadcasts along an inner axis."""
+    shape = np.broadcast(*arrays).shape
+    cut = len(shape) - core
+    return shape[:cut], [
+        (a if a.shape == shape else np.broadcast_to(a, shape)).reshape(
+            (-1,) + shape[cut:]) for a in arrays]
 
 
 def _index_map(nside, ipix, kernel, trailing=((),), dtype=np.int64):
@@ -339,6 +361,21 @@ def _zphi_quadrants(theta, phi):
     return z, tt, rtz
 
 
+def _check_angles(theta, phi):
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+        raise DomainError("non-finite direction")
+    if not ((theta >= 0.0) & (theta <= np.pi)).all():
+        raise DomainError("theta must be in [0, pi]")
+
+
+def _zone_pixels(nside, z, tt, rtz, scheme):
+    """1-based pixels of :func:`_zphi_quadrants` arrays, each key's own zone
+    selected."""
+    return _select(np.abs(z) > 2.0 / 3.0,
+                   _polar_zone_pix(nside, tt, z, rtz, scheme),
+                   _eq_zone_pix(nside, tt, z, scheme)) + 1
+
+
 def ang2pix(nside, theta, phi, scheme=RING):
     """1-based index of the pixel containing direction ``(theta, phi)``:
     ``theta`` in ``[0, pi]``, any finite ``phi``; arrays broadcast."""
@@ -346,10 +383,7 @@ def ang2pix(nside, theta, phi, scheme=RING):
     _check_scheme(scheme)
     theta_a = np.asarray(theta, dtype=np.float64)
     phi_a = np.asarray(phi, dtype=np.float64)
-    if not (np.isfinite(theta_a).all() and np.isfinite(phi_a).all()):
-        raise DomainError("non-finite direction")
-    if not ((theta_a >= 0.0) & (theta_a <= np.pi)).all():
-        raise DomainError("theta must be in [0, pi]")
+    _check_angles(theta_a, phi_a)
     if theta_a.ndim == phi_a.ndim == 0:
         # one direction: the same zone arithmetic on numpy scalars, for its
         # own zone only, costs a quarter of the 1-element array path
@@ -357,16 +391,9 @@ def ang2pix(nside, theta, phi, scheme=RING):
         if abs(z) > 2.0 / 3.0:
             return int(_polar_zone_pix(nside, tt, z, rtz, scheme)) + 1
         return int(_eq_zone_pix(nside, tt, z, scheme)) + 1
-    shape = np.broadcast_shapes(theta_a.shape, phi_a.shape)
-
-    def pixels(theta, phi):
-        z, tt, rtz = _zphi_quadrants(theta, phi)
-        return [_select(np.abs(z) > 2.0 / 3.0,
-                        _polar_zone_pix(nside, tt, z, rtz, scheme),
-                        _eq_zone_pix(nside, tt, z, scheme)) + 1]
-    # flat views, copied only where an input broadcasts
-    return _by_block(pixels, shape, [np.broadcast_to(a, shape).reshape(-1)
-                                     for a in (theta_a, phi_a)])[0]
+    return _by_block(
+        lambda t, p: [_zone_pixels(nside, *_zphi_quadrants(t, p), scheme)],
+        *_flat_inputs(theta_a, phi_a))[0]
 
 
 def _eq_zone_pix(nside, tt, z, scheme):
@@ -374,17 +401,17 @@ def _eq_zone_pix(nside, tt, z, scheme):
     temp2 = nside * (0.75 * z)
     jp = np.floor(temp1 - temp2).astype(np.int64)  # ascending edge line
     jm = np.floor(temp1 + temp2).astype(np.int64)  # descending edge line
+    del temp1, temp2        # a block's dead temporaries go as soon as they can
     if scheme == RING:
         ir = nside + 1 + jp - jm          # ring within the belt, 1..2n+1
         kshift = 1 - (ir & 1)
         ip = ((jp + jm - nside + kshift + 1) >> 1) & (4 * nside - 1)
         return 2 * nside * (nside - 1) + (ir - 1) * 4 * nside + ip
     factor = nside.bit_length() - 1
-    ifp = jp >> factor
-    ifm = jm >> factor
-    f = _select(ifp == ifm, ifp | 4, _select(ifp < ifm, ifp, ifm + 8))
+    f = _eq_face(jp >> factor, jm >> factor)
     x = jm & (nside - 1)
     y = (nside - 1) - (jp & (nside - 1))
+    del jp, jm
     return _nest_compose(nside, f, x, y)
 
 
@@ -394,6 +421,7 @@ def _polar_zone_pix(nside, tt, z, rtz, scheme):
     tmp = nside * rtz
     jp = np.floor(tp * tmp).astype(np.int64)          # increasing longitude
     jm = np.floor((1.0 - tp) * tmp).astype(np.int64)  # decreasing longitude
+    del tp, tmp
     if scheme == RING:
         ir = jp + jm + 1                               # ring from nearest pole
         ip = np.floor(tt * ir).astype(np.int64) % (4 * ir)
@@ -404,15 +432,34 @@ def _polar_zone_pix(nside, tt, z, rtz, scheme):
     f = _select(z >= 0, ntt, ntt + 8)
     x = _select(z >= 0, nside - 1 - jm, jp)
     y = _select(z >= 0, nside - 1 - jp, jm)
+    del ntt, jp, jm
     return _nest_compose(nside, f, x, y)
 
 
+def _vec_angles(v):
+    """``(theta, phi)`` of the vectors ``v``, ``(n, 3)``, checked as
+    :func:`ang2pix` checks its input."""
+    theta = np.arccos(np.clip(v[:, 2], -1.0, 1.0))
+    phi = np.arctan2(v[:, 1], v[:, 0]) % (2 * np.pi)
+    _check_angles(theta, phi)
+    return theta, phi
+
+
 def vec2pix(nside, xyz, scheme=RING):
-    """Containing pixel of unit vectors, shape ``(..., 3)`` -> 1-based index."""
+    """Containing pixel of unit vectors, shape ``(..., 3)`` -> 1-based index
+    (an ``int`` for one vector).  Evaluated on 2**15-row blocks by
+    :func:`_by_block`, each block's vectors going to ``(theta, phi)`` and
+    through :func:`ang2pix`'s zone arithmetic: a call holds its output plus
+    one block of temporaries."""
+    nside = _check_nside(nside)
+    _check_scheme(scheme)
     xyz = np.asarray(xyz, dtype=np.float64)
-    theta = np.arccos(np.clip(xyz[..., 2], -1.0, 1.0))
-    phi = np.arctan2(xyz[..., 1], xyz[..., 0]) % (2 * np.pi)
-    return ang2pix(nside, theta, phi, scheme)
+
+    def pixels(v):
+        # theta and phi are freed once they are reduced to (z, tt, rtz)
+        return [_zone_pixels(nside, *_zphi_quadrants(*_vec_angles(v)), scheme)]
+    out, = _by_block(pixels, *_flat_inputs(xyz, core=1))
+    return int(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

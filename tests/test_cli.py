@@ -340,6 +340,23 @@ def test_frame_csv_row_of_wrong_length_exits_2(runner, small_map, tmp_path,
             in result.output)
 
 
+@pytest.mark.parametrize("line", [8, -2])
+def test_frame_csv_non_utf8_byte_exits_2(runner, small_map, tmp_path, line):
+    # one 0xff byte in a body cell: near the top it is decoded with the
+    # header, past the first 8 KB chunk while the body is parsed
+    frame_csv = tmp_path / "s.csv"
+    invoke(runner, ["sample", str(small_map), "--size", "2000",
+                    "-o", str(frame_csv)])
+    lines = frame_csv.read_bytes().split(b"\r\n")
+    assert frame_csv.stat().st_size > 8192 and lines[line]
+    lines[line] = lines[line][:-3] + b"\xff" + lines[line][-2:]
+    frame_csv.write_bytes(b"\r\n".join(lines))
+    result = runner.invoke(cli.main, ["entropy", str(frame_csv)])
+    assert result.exit_code == 2, result.output
+    assert "malformed CSV %s: " % frame_csv in result.output
+    assert "can't decode byte 0xff" in result.output
+
+
 def test_hp_frame_csv_malformed_theta_exits_2(runner, tmp_path):
     # an hp frame's theta and phi are its coordinates, parsed as float64
     rng = np.random.default_rng(2)

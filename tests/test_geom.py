@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from skypix import geom
+from skypix.healpix import _BLOCK
 from skypix.errors import DomainError, GeometryError
 
 
@@ -178,6 +180,122 @@ def test_extremal_distance_errors():
         geom.extremal_distance(np.array([[0, 0, 1.0]]), mode="max")
     with pytest.raises(DomainError):
         geom.extremal_distance(np.array([[0, 0, 1.0]]), target=[np.nan, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# per-row kernels evaluate blocks of _BLOCK rows
+
+def geodesic_whole(a, b):
+    """The whole-array chord expression geodesic_distance evaluates."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    half_chord = np.einsum("...i->...", (a - b) ** 2) ** 0.5 / 2
+    return 2 * np.arcsin(np.minimum(half_chord, 1.0))
+
+
+def sph2cart_whole(theta, phi):
+    """The whole-array expression sph2cart evaluates."""
+    theta = np.asarray(theta, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
+                    axis=-1)
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def unit_rows(rng, shape):
+    v = rng.standard_normal(shape + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+BLOCK_SIZES = [(), (1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,),
+               (3 * _BLOCK + 7,)]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SIZES)
+def test_geodesic_distance_blocks_equal_whole_array(shape):
+    rng = np.random.default_rng(sum(shape))
+    a, b, c = unit_rows(rng, shape), unit_rows(rng, shape), unit_rows(rng, ())
+    if shape:
+        b[::5] = a[::5]             # coincident rows: 0 exactly
+        b[1::7] = -a[1::7]          # antipodes: the chord clipped at 2
+    assert_same_bits(geom.geodesic_distance(a, b), geodesic_whole(a, b))
+    # against one (3,) vector
+    assert_same_bits(geom.geodesic_distance(a, c), geodesic_whole(a, c))
+
+
+def test_geodesic_distance_broadcasts_over_blocks():
+    rng = np.random.default_rng(3)
+    a, b = unit_rows(rng, (190, 180)), unit_rows(rng, (180,))
+    got = geom.geodesic_distance(a, b)
+    assert got.shape == (190, 180) and got.size > _BLOCK
+    assert_same_bits(got, geodesic_whole(a, b))
+    assert_same_bits(geom.geodesic_distance(b, a), geodesic_whole(b, a))
+    assert_same_bits(geom.geodesic_distance(a[:0], b[0]),
+                     geodesic_whole(a[:0], b[0]))
+    # two vectors give a numpy scalar, as the whole-array expression does
+    assert type(geom.geodesic_distance(a[0, 0], b[0])) is np.float64
+
+
+@pytest.mark.parametrize("shape", BLOCK_SIZES)
+def test_sph2cart_blocks_equal_whole_array(shape):
+    rng = np.random.default_rng(sum(shape))
+    theta = np.arccos(rng.uniform(-1.0, 1.0, shape))
+    phi = rng.uniform(-7.0, 7.0, shape)
+    got = geom.sph2cart(theta, phi)
+    assert got.shape == shape + (3,)
+    assert_same_bits(got, sph2cart_whole(theta, phi))
+    # an array against one float broadcasts
+    assert_same_bits(geom.sph2cart(theta, 0.25), sph2cart_whole(theta, 0.25))
+
+
+def test_sph2cart_broadcasts_over_blocks():
+    rng = np.random.default_rng(4)
+    theta = np.arccos(rng.uniform(-1.0, 1.0, (190, 1)))
+    phi = rng.uniform(0.0, 2 * np.pi, 180)
+    got = geom.sph2cart(theta, phi)
+    assert got.shape == (190, 180, 3) and got.shape[0] * 180 > _BLOCK
+    # the whole-array expression stacks cos(theta) unbroadcast, so the
+    # reference takes the arrays broadcast beforehand
+    assert_same_bits(got, sph2cart_whole(*np.broadcast_arrays(theta, phi)))
+    # Python floats give one (3,) vector
+    assert_same_bits(geom.sph2cart(1.3, 0.7), sph2cart_whole(1.3, 0.7))
+    assert_same_bits(geom.sph2cart(np.empty(0), 1.0),
+                     sph2cart_whole(np.empty(0), 1.0))
+
+
+def traced_peak(func, *args):
+    """``func(*args)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = func(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_geodesic_distance_memory_is_one_block():
+    # the whole-array expression peaks at 4x its output on 2^20 rows
+    rng = np.random.default_rng(8)
+    a, b = unit_rows(rng, (1 << 20,)), unit_rows(rng, (1 << 20,))
+    out, peak = traced_peak(geom.geodesic_distance, a, b)
+    assert peak <= out.nbytes + 4 * 2**20
+
+
+def test_sph2cart_memory_is_one_block():
+    # the whole-array expression peaks at 2.3x its output on 2^20 rows
+    rng = np.random.default_rng(9)
+    theta = np.arccos(rng.uniform(-1.0, 1.0, 1 << 20))
+    phi = rng.uniform(0.0, 2 * np.pi, 1 << 20)
+    out, peak = traced_peak(geom.sph2cart, theta, phi)
+    assert peak <= out.nbytes + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

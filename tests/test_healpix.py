@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -495,3 +496,60 @@ def test_ang2pix_equals_one_direction_at_a_time(nside, scheme):
         assert sp.ang2pix(nside, theta[i, 0], phi[j], scheme) == got[i, j]
     empty = sp.ang2pix(nside, np.empty(0), np.empty(0), scheme)
     assert empty.shape == (0,) and empty.dtype == np.int64
+
+
+def vec2pix_whole(nside, xyz, scheme):
+    """The whole-array angles vec2pix takes its vectors to, then ang2pix."""
+    xyz = np.asarray(xyz, dtype=np.float64)
+    theta = np.arccos(np.clip(xyz[..., 2], -1.0, 1.0))
+    phi = np.arctan2(xyz[..., 1], xyz[..., 0]) % (2 * np.pi)
+    return sp.ang2pix(nside, theta, phi, scheme)
+
+
+def _unit_rows(rng, shape):
+    v = rng.standard_normal(shape + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("nside", _EDGE_NSIDES)
+@pytest.mark.parametrize("scheme", [sp.RING, sp.NESTED])
+@pytest.mark.parametrize("shape", [(), (1,), (_BLOCK - 1,), (_BLOCK,),
+                                   (_BLOCK + 1,), (3 * _BLOCK + 7,),
+                                   (190, 180)])
+def test_vec2pix_blocks_equal_whole_array(shape, scheme, nside):
+    rng = np.random.default_rng(sum(shape))
+    xyz = _unit_rows(rng, shape)
+    # the poles and two points of the equator lead any array of four or more
+    poles = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, -1, 0]], float)
+    if xyz.size >= poles.size:
+        xyz.reshape(-1, 3)[:4] = poles
+    got = sp.vec2pix(nside, xyz, scheme)
+    want = vec2pix_whole(nside, xyz, scheme)
+    # one vector gives an int, as ang2pix's scalar path does
+    assert type(got) is type(want) is (int if shape == () else np.ndarray)
+    assert np.shape(got) == shape
+    assert np.array_equal(got, want)
+
+
+def test_vec2pix_of_nan_vector_raises():
+    xyz = _unit_rows(np.random.default_rng(1), (3 * _BLOCK + 7,))
+    with pytest.raises(DomainError, match="non-finite"):
+        sp.vec2pix(64, [np.nan, 0.0, 1.0])
+    for row in (0, _BLOCK, len(xyz) - 1):
+        bad = xyz.copy()
+        bad[row, row % 3] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            sp.vec2pix(64, bad, sp.NESTED)
+
+
+@pytest.mark.parametrize("scheme", [sp.RING, sp.NESTED])
+def test_vec2pix_memory_is_one_block(scheme):
+    # the whole-array angles peaked at 3.5x the output on 2^20 rows
+    xyz = _unit_rows(np.random.default_rng(2), (1 << 20,))
+    tracemalloc.start()
+    try:
+        out = sp.vec2pix(1024, xyz, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * 2**20
