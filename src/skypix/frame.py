@@ -26,8 +26,9 @@ _CHUNK = 1 << 20
 # windows classify the nested cells of this resolution (or of the frame's
 # own, when coarser) before any pixel center is tested
 _CELL_NSIDE = 32
-# radians added to the bounds of a window's bounding caps, for rounding
-_CAP_MARGIN = 1e-9
+# and explicit coordinates those of this many colatitude bands by twice as
+# many longitude sectors
+_GRID = 64
 
 CMB = "cmb"
 HP = "hp"
@@ -205,49 +206,53 @@ def _cell_bounds(nside, region):
     return all_in, any_in, 2 * (nside // cells).bit_length() - 2
 
 
-def _cap_rows(theta, phi, caps):
-    """Indices of the rows that may lie in a cap ``(theta_c, phi_c, r)``
-    (all rows when ``caps`` is None): within ``r`` of ``theta_c`` and, if
-    the cap reaches neither pole, within ``asin(sin r / sin theta_c)`` of
-    ``phi_c`` mod 2 pi, or with ``|phi| >= 2**20``, which rounds mod 2 pi."""
-    if caps is None:
-        return np.arange(len(theta))
-    near = np.zeros(len(theta), dtype=bool)
-    for tc, pc, r in caps:
-        r += _CAP_MARGIN
-        part = np.abs(theta - tc) <= r
-        if r < tc < math.pi - r:
-            # 1e-15 covers the ratio's rounding, where asin is steep
-            half = math.asin(min(1.0, math.sin(r) / math.sin(tc) + 1e-15))
-            off = np.abs(np.fmod(phi - pc, 2 * math.pi))   # fmod is exact
-            part &= ((off <= half + _CAP_MARGIN)
-                     | (off >= 2 * math.pi - half - _CAP_MARGIN)
-                     | (np.abs(phi) >= 2.0 ** 20))
-        near |= part
-    return np.flatnonzero(near)
+def _grid_cells():
+    """Unit-vector centers of the grid's cells, band by band, and the angle
+    from a center to its cell's farthest point, a corner, widened by 5% as
+    in :func:`_cell_radius`."""
+    step = math.pi / _GRID
+    theta = (np.arange(_GRID) + 0.5) * step
+    centers = sph2cart(theta[:, None], (np.arange(2 * _GRID) + 0.5) * step)
+    corners = sph2cart(np.append(theta - step / 2, theta + step / 2), step / 2)
+    radius = geodesic_distance(corners, sph2cart(np.tile(theta, 2), 0.0))
+    return centers.reshape(-1, 3), 1.05 * float(radius.max())
+
+
+def _grid_cell_block(theta, phi):
+    """Index of each row's cell in :func:`_grid_cells`, or one past the last
+    where ``|phi| >= 2**20``, as the float 2 pi drifts there from the exact
+    reduction ``sph2cart`` makes.  ``fmod`` is exact and keeps the sector's
+    cast in range for any finite ``phi``."""
+    band = np.minimum(theta * (_GRID / math.pi), _GRID - 1).astype(np.int16)
+    sector = np.floor(np.fmod(phi, 2 * math.pi) * (_GRID / math.pi))
+    cell = band * (2 * _GRID) + (sector.astype(np.int16) & (2 * _GRID - 1))
+    return [np.where(np.abs(phi) >= 2.0 ** 20, 2 * _GRID ** 2, cell)]
 
 
 def window_mask(frame, region):
     """Boolean mask of the rows whose coordinates fall inside the region.
 
-    Rows keyed by pixel centers are decided a whole nested cell at a time
-    (:func:`_cell_bounds`); only those in cells that straddle the region's
-    boundary go through ``pix2vec`` and ``contains``.  Rows with explicit
-    coordinates go through ``sph2cart`` and ``contains`` only where they
-    may lie in the region's bounding caps (:func:`_cap_rows`)."""
+    Rows are decided a whole cell at a time by ``region.cap_bounds``, on
+    the nested cells of :func:`_cell_bounds` when keyed by pixel centers
+    and on the grid cells of :func:`_grid_cells` when explicit.  Only rows
+    of cells that straddle the boundary go through ``contains``."""
     region = WindowSet(region)
     if frame.coords is None:
         all_in, any_in, shift = _cell_bounds(frame.nside, region)
         nest = frame.pix
         if frame.scheme != healpix.NESTED:
             nest = healpix.ring2nest(frame.nside, nest)
-        # 2: the cell is inside, 1: it straddles the boundary, 0: outside
-        state = (all_in + any_in.astype(np.int8))[(nest - 1) >> shift]
-        keep = state == 2
-        test = np.flatnonzero(state == 1)
+        cell = (nest - 1) >> shift
     else:
-        keep = np.zeros(len(frame), dtype=bool)
-        test = _cap_rows(*frame.coords, region.caps())
+        all_in, any_in = region.cap_bounds(*_grid_cells())
+        # int16 holds the 2 * _GRID**2 + 1 cells
+        cell, = healpix._by_block(_grid_cell_block, (len(frame),),
+                                  frame.coords, dtype=np.int16)
+    # 2: the cell is inside, 1: it straddles the boundary, 0: outside; the
+    # cell past the last holds rows that are always tested
+    state = np.append(all_in + any_in.astype(np.int8), np.int8(1))[cell]
+    keep = state == 2
+    test = np.flatnonzero(state == 1)
     for lo in range(0, len(test), _CHUNK):
         rows = test[lo:lo + _CHUNK]
         keep[rows] = region.contains(frame.positions(rows))

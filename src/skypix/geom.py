@@ -47,13 +47,19 @@ class SphericalPoint:
                          math.cos(self.theta)])
 
 
+def _cart2sph_block(xyz):
+    phi = np.arctan2(xyz[:, 1], xyz[:, 0]) % (2 * np.pi)
+    phi[np.abs(xyz[:, 2]) >= 1.0] = 0.0
+    return np.arccos(np.clip(xyz[:, 2], -1.0, 1.0)), phi
+
+
 def cart2sph(xyz):
-    """Unit vectors ``(..., 3)`` -> ``(theta, phi)``; phi canonical in [0, 2pi)."""
+    """Unit vectors ``(..., 3)`` -> ``(theta, phi)``; phi canonical in
+    [0, 2pi), 0 at the poles; on 2**15-row blocks, as :func:`sph2cart`."""
     xyz = np.asarray(xyz, dtype=np.float64)
-    theta = np.arccos(np.clip(xyz[..., 2], -1.0, 1.0))
-    phi = np.arctan2(xyz[..., 1], xyz[..., 0]) % (2 * np.pi)
-    phi = np.where(np.abs(xyz[..., 2]) >= 1.0, 0.0, phi)
-    return theta, phi
+    theta, phi = _by_block(_cart2sph_block, *_flat_inputs(xyz, core=1),
+                           [(), ()], np.float64)
+    return theta[()], phi[()]   # numpy scalars for one vector
 
 
 def _sph2cart_block(theta, phi):
@@ -188,10 +194,7 @@ class Window:
     or a polygon's edge planes (``h = 0``, ``|n|`` the edge's sine), in one
     piece when ``assumed_convex`` (checked on every vertex) and one piece
     per triangle of :func:`triangulate` otherwise.  ``base_area`` is the
-    area of the un-complemented shape, steradians, and ``base_cap`` the
-    ``(theta, phi, r)`` of a cap holding every point it accepts, edge
-    tolerance included (None if that is the sphere): a disc's own, or one
-    about a polygon's normalised vertex sum.
+    area of the un-complemented shape, steradians.
     """
 
     kind: str
@@ -202,7 +205,6 @@ class Window:
     assumed_convex: bool = False
     pieces: tuple = field(init=False, repr=False, compare=False)
     base_area: float = field(init=False, repr=False, compare=False)
-    base_cap: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "disc":
@@ -210,10 +212,8 @@ class Window:
                 raise GeometryError("disc window needs center and r")
             if not 0.0 < self.r < math.pi:
                 raise GeometryError("disc radius must be in (0, pi)")
-            center = self.center.to_vector()
-            pieces = (((center, math.cos(self.r)),),)
+            pieces = (((self.center.to_vector(), math.cos(self.r)),),)
             base_area = 2 * math.pi * (1 - math.cos(self.r))
-            cos_cap = math.cos(self.r) - 2 * _EDGE_TOL
         elif self.kind == "polygon":
             object.__setattr__(self, "vertices", tuple(self.vertices))
             if len(self.vertices) < 3:
@@ -229,22 +229,10 @@ class Window:
                 raise GeometryError("polygon declared convex is not convex")
             pieces = tuple(tuple((n, 0.0) for n in ns) for ns in normals)
             base_area = sum(spherical_triangle_area(*t) for t in triangles)
-            # triangulate() put the vertices within R < pi/2 of their sum c;
-            # x with x . n >= -2 _EDGE_TOL in a piece has x + t g in it (g its
-            # unit vertex sum, t = 2 _EDGE_TOL / min(g . n)): x.c >= cos R - 2t
-            center = arr.sum(axis=0) / np.linalg.norm(arr.sum(axis=0))
-            cos_cap = math.cos(float(geodesic_distance(arr, center).max()))
-            for verts, ns in zip((arr,) if self.assumed_convex else triangles,
-                                 normals):
-                g = np.sum(verts, axis=0)
-                slack = (ns @ (g / np.linalg.norm(g))).min()
-                cos_cap -= 4 * _EDGE_TOL / slack if slack > 0 else math.inf
         else:
             raise GeometryError("window kind must be 'disc' or 'polygon'")
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "base_area", base_area)
-        object.__setattr__(self, "base_cap", None if cos_cap <= -1 else (
-            *map(float, cart2sph(center)), math.acos(cos_cap)))
 
     # -- geometry ---------------------------------------------------------
 
@@ -407,12 +395,6 @@ class WindowSet:
             for acc, part in zip(out, query(w)):
                 combine(acc, part, out=acc)
         return out
-
-    def caps(self):
-        """The plain members' ``base_cap``, whose union holds the set; None
-        when there are no plain members or one has no cap."""
-        caps = [w.base_cap for w in self.windows if not w.complement]
-        return caps if caps and None not in caps else None
 
     def contains(self, xyz):
         xyz = np.asarray(xyz, dtype=np.float64)

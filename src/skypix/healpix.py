@@ -377,23 +377,18 @@ def _zone_pixels(nside, z, tt, rtz, scheme):
 
 
 def ang2pix(nside, theta, phi, scheme=RING):
-    """1-based index of the pixel containing direction ``(theta, phi)``:
-    ``theta`` in ``[0, pi]``, any finite ``phi``; arrays broadcast."""
+    """1-based index of the pixel containing direction ``(theta, phi)``
+    (an ``int`` for one direction): ``theta`` in ``[0, pi]``, any finite
+    ``phi``; arrays broadcast."""
     nside = _check_nside(nside)
     _check_scheme(scheme)
-    theta_a = np.asarray(theta, dtype=np.float64)
-    phi_a = np.asarray(phi, dtype=np.float64)
-    _check_angles(theta_a, phi_a)
-    if theta_a.ndim == phi_a.ndim == 0:
-        # one direction: the same zone arithmetic on numpy scalars, for its
-        # own zone only, costs a quarter of the 1-element array path
-        z, tt, rtz = _zphi_quadrants(theta_a[()], phi_a[()])
-        if abs(z) > 2.0 / 3.0:
-            return int(_polar_zone_pix(nside, tt, z, rtz, scheme)) + 1
-        return int(_eq_zone_pix(nside, tt, z, scheme)) + 1
-    return _by_block(
+    theta = np.asarray(theta, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    _check_angles(theta, phi)
+    out, = _by_block(
         lambda t, p: [_zone_pixels(nside, *_zphi_quadrants(t, p), scheme)],
-        *_flat_inputs(theta_a, phi_a))[0]
+        *_flat_inputs(theta, phi))
+    return int(out) if out.ndim == 0 else out
 
 
 def _eq_zone_pix(nside, tt, z, scheme):
@@ -613,9 +608,11 @@ def nest_search(nside, target, count_visits=False):
     """
     nside = _check_nside(nside)
     xyz = np.asarray(target, dtype=np.float64)
-    norms = np.sqrt((xyz ** 2).sum(axis=-1))
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    norms = np.einsum("...i,...i", xyz, xyz).reshape(-1)  # no (n, 3) copy
+    np.sqrt(norms, out=norms)
+    if np.any(np.abs(np.subtract(norms, 1.0, out=norms), out=norms) > 1e-9):
         raise DomainError("target vectors must be normalized")
+    del norms                           # before vec2pix makes its output
     result = vec2pix(nside, xyz, NESTED)
     visits = 12 + 4 * (nside.bit_length() - 1)
     if count_visits:

@@ -324,7 +324,7 @@ def test_window_pixels_match_full_resolution(data, level, size, ring):
     sky = frame.full_frame(nside, scheme)
     assert_array_equal(frame.extract_window(sky, region).pix, expected)
     # the same centers as explicit hp coordinates, longitudes wrapped by up
-    # to 1.5e5 turns: the bounding-cap prefilter must keep every row that
+    # to 1.5e5 turns: the grid's cell bounds must keep every row that
     # contains() accepts
     theta, phi = sp.pix2ang(nside, pix, scheme)
     turns = np.random.default_rng(level).integers(-150_000, 150_000, pix.size)
@@ -394,9 +394,10 @@ def test_hp_membership_matches_every_row_at_the_edge_tolerance():
 
 def test_hp_membership_keeps_long_longitudes():
     """Longitudes of 1e9 reduce mod 2 pi with an error of ~4e-8 rad in
-    floating point (1e6 with ~4e-11), while sph2cart reduces them exactly:
-    rows 1e-12 inside a disc's eastern or western tip must stay in."""
-    for lon in (1e9, -1e9, 1e6 + 0.5, -1e6 - 0.5):
+    floating point (1e6 with ~4e-11, and 1e300 with more than 2 pi),
+    while sph2cart reduces them exactly: rows 1e-12 inside a disc's eastern
+    or western tip must stay in."""
+    for lon in (1e9, -1e9, 1e6 + 0.5, -1e6 - 0.5, 1e300, -1e300):
         true = math.atan2(math.sin(lon), math.cos(lon))
         for side in (1.0, -1.0):
             w = geom.disc(math.pi / 2, (true - side * (0.1 - 1e-12)) % (
@@ -404,6 +405,99 @@ def test_hp_membership_keeps_long_longitudes():
             _assert_hp_membership(np.array([math.pi / 2]), np.array([lon]),
                                   geom.WindowSet((w,)))
             assert w.contains(geom.sph2cart(math.pi / 2, lon))
+
+
+def test_grid_radius_bounds_every_cell():
+    """Every corner, edge midpoint and 100 random points of every cell of
+    the theta-phi grid, polar bands included, lie within the grid radius
+    of the cell's center; the random points lie in the cell that
+    ``_grid_cell_block`` names."""
+    centers, radius = frame._grid_cells()
+    step = math.pi / frame._GRID
+    band, sector = np.divmod(np.arange(len(centers)), 2 * frame._GRID)
+    outline = [[0, 0], [0, 0.5], [0, 1], [0.5, 1], [1, 1], [1, 0.5], [1, 0],
+               [0.5, 0]]
+    spots = np.concatenate([outline, np.random.default_rng(24).uniform(
+        0, 1, (100, 2))])
+    theta = (band[:, None] + spots[:, 0]) * step
+    phi = (sector[:, None] + spots[:, 1]) * step
+    dist = geom.geodesic_distance(geom.sph2cart(theta, phi),
+                                  centers[:, None])
+    assert dist.max() <= radius
+    inner = np.s_[:, len(outline):]
+    cell, = frame._grid_cell_block(theta[inner].ravel(), phi[inner].ravel())
+    assert_array_equal(cell, np.repeat(band * 2 * frame._GRID + sector, 100))
+
+
+def test_grid_cell_of_edge_coordinates():
+    """The poles, band and sector edges and the floats beside them,
+    negative longitudes and longitudes up to the float limit raise no
+    warning, and put each row within the grid radius of its cell's
+    center, or in the cell past the last, whose rows are always tested,
+    exactly when ``|phi| >= 2**20``."""
+    step = math.pi / frame._GRID
+    bands = np.arange(frame._GRID + 1) * step
+    theta = np.clip(np.concatenate([bands, np.nextafter(bands, -1),
+                                    np.nextafter(bands, 4), [math.pi]]),
+                    0, math.pi)
+    sectors = np.arange(2 * frame._GRID + 1) * step
+    phi = np.concatenate([sectors, np.nextafter(sectors, -1),
+                          np.nextafter(sectors, 7),
+                          2.0 ** 20 + np.array([-1, 0, 1]), [1.7e308]])
+    phi = np.concatenate([phi, -phi])
+    theta, phi = (a.ravel() for a in np.meshgrid(theta, phi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cell, = frame._grid_cell_block(theta, phi)
+    centers, radius = frame._grid_cells()
+    far = np.abs(phi) >= 2.0 ** 20
+    assert_array_equal(cell == len(centers), far)
+    assert cell.min() >= 0
+    dist = geom.geodesic_distance(geom.sph2cart(theta[~far], phi[~far]),
+                                  centers[cell[~far]])
+    assert dist.max() <= radius
+
+
+# the benchmark's concave pentagon, notched at (1.2, 2.0)
+_PENTAGON = [(0.9, 1.7), (0.9, 2.3), (1.5, 2.3), (1.2, 2.0), (1.5, 1.7)]
+
+
+def test_hp_membership_of_complements_sets_and_the_pentagon():
+    rng = np.random.default_rng(24)
+    pentagon = geom.polygon(_PENTAGON)
+    theta, phi = [np.arccos(rng.uniform(-1, 1, 100_000))], [
+        rng.uniform(-20, 20, 100_000)]
+    for vertex in pentagon.vertex_array():
+        t, p = _shell(vertex, np.logspace(-12, -2, 50), 50, rng)
+        theta.append(t)
+        phi.append(p)
+    theta, phi = np.concatenate(theta), np.concatenate(phi)
+    d = geom.disc(1.2, 2.0, 0.7)
+    for members in [(d.complemented(),),
+                    (d.complemented(), geom.disc(2.8, 5.0, 0.3, True)),
+                    (d, pentagon, geom.disc(0.0, 0.0, 0.3)),
+                    (d, geom.disc(1.0, 2.2, 0.2), pentagon.complemented()),
+                    (pentagon,)]:
+        _assert_hp_membership(theta, phi, geom.WindowSet(members))
+
+
+def test_hp_window_mask_memory():
+    # the bounding caps this replaced peaked at 20.0 MiB on the pentagon,
+    # and at 49.2 MiB on a complement-only disc, which tested every row
+    rng = np.random.default_rng(7)
+    n = 1_000_000
+    f = frame.SkyFrame(np.ones(n, dtype=np.int64), sp.NESTED, 1, {},
+                       frame.HP, coords=(np.arccos(rng.uniform(-1, 1, n)),
+                                         rng.uniform(0, 2 * math.pi, n)))
+    for region in (geom.polygon(_PENTAGON),
+                   geom.disc(1.2, 2.0, 0.7, complement=True)):
+        tracemalloc.start()
+        try:
+            frame.window_mask(f, region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
 
 
 @settings(max_examples=25, deadline=None)

@@ -270,6 +270,28 @@ def test_sph2cart_broadcasts_over_blocks():
                      sph2cart_whole(np.empty(0), 1.0))
 
 
+def cart2sph_whole(xyz):
+    """The whole-array expressions cart2sph evaluates."""
+    theta = np.arccos(np.clip(xyz[..., 2], -1.0, 1.0))
+    phi = np.arctan2(xyz[..., 1], xyz[..., 0]) % (2 * np.pi)
+    # [()]: a numpy scalar for one vector, as theta is
+    return theta, np.where(np.abs(xyz[..., 2]) >= 1.0, 0.0, phi)[()]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SIZES + [(190, 180)])
+def test_cart2sph_blocks_equal_whole_array(shape):
+    rng = np.random.default_rng(sum(shape))
+    xyz = unit_rows(rng, shape)
+    # the poles, and z rounded past them, take phi = 0
+    poles = np.array([[0, 0, 1], [0, 0, -1], [1e-17, 0, 1 + 2.0**-52],
+                      [0, 1e-9, -1]], float)
+    if xyz.size >= poles.size:
+        xyz.reshape(-1, 3)[:4] = poles
+    got, want = geom.cart2sph(xyz), cart2sph_whole(xyz)
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+
+
 def traced_peak(func, *args):
     """``func(*args)`` and the peak of the memory traced while it ran."""
     tracemalloc.start()
@@ -287,6 +309,13 @@ def test_geodesic_distance_memory_is_one_block():
     a, b = unit_rows(rng, (1 << 20,)), unit_rows(rng, (1 << 20,))
     out, peak = traced_peak(geom.geodesic_distance, a, b)
     assert peak <= out.nbytes + 4 * 2**20
+
+
+def test_cart2sph_memory_is_one_block():
+    # the whole-array expressions peak at 1.6x the two outputs on 2^20 rows
+    xyz = unit_rows(np.random.default_rng(10), (1 << 20,))
+    (theta, phi), peak = traced_peak(geom.cart2sph, xyz)
+    assert peak <= theta.nbytes + phi.nbytes + 4 * 2**20
 
 
 def test_sph2cart_memory_is_one_block():
@@ -419,24 +448,6 @@ def test_convex_flag_agrees_with_triangulated_test():
     pts = rng.normal(size=(5000, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     assert np.array_equal(w1.contains(pts), w2.contains(pts))
-
-
-def test_bounding_caps_hold_what_contains_accepts():
-    rng = np.random.default_rng(5)
-    pts = rng.normal(size=(20000, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    d = geom.disc(1.0, 2.0, 0.5)
-    poly = geom.polygon([(1.2, 0.1), (1.3, 0.8), (0.7, 0.9), (1.0, 0.5)])
-    for w in (d, poly, geom.disc(0.1, 0.0, 2.9)):
-        theta, phi, r = w.base_cap
-        inside = pts[w.contains(pts)]
-        assert inside.size and geom.geodesic_distance(
-            inside, geom.sph2cart(theta, phi)).max() <= r
-    assert d.base_cap[2] > 0.5 and math.isclose(d.base_cap[2], 0.5,
-                                                 rel_tol=1e-9)
-    assert len(geom.WindowSet((d, poly, d.complemented())).caps()) == 2
-    for members in ((), (d.complemented(),)):
-        assert geom.WindowSet(members).caps() is None
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import skypix as sp
@@ -301,6 +301,20 @@ def test_nest_search_rejects_unnormalized():
         sp.nest_search(4, np.array([1.0, 1.0, 0.0]))
 
 
+def test_nest_search_memory_is_one_block():
+    # squaring the whole (n, 3) array to check the norms peaked at 4x the
+    # output on 2^20 rows
+    xyz = _unit_rows(np.random.default_rng(6), (1 << 20,))
+    tracemalloc.start()
+    try:
+        out = sp.nest_search(1024, xyz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, sp.vec2pix(1024, xyz, sp.NESTED))
+    assert peak <= out.nbytes + 4 * 2**20
+
+
 @pytest.mark.parametrize("nside", [4, 16, 64])
 def test_nest_search_within_one_pixel_diagonal(nside):
     rng = np.random.default_rng(5)
@@ -404,8 +418,12 @@ def test_ang2pix_rejects_theta_outside_0_pi(theta):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 29), st.sampled_from([sp.RING, sp.NESTED]),
        st.floats(0.0, math.pi), st.floats(-20.0, 20.0))
+@example(0, sp.RING, 1.0, 2.0)
+@example(0, sp.NESTED, 0.1, -3.0)
+@example(29, sp.RING, 2.9, 5.0)
+@example(29, sp.NESTED, math.pi / 2, 0.7)
 def test_ang2pix_scalar_matches_array(level, scheme, theta, phi):
-    # one direction takes the scalar route; the array route is the oracle
+    # one direction gives an int, equal to a 1-element array's key
     nside = 1 << level
     got = sp.ang2pix(nside, theta, phi, scheme)
     assert type(got) is int
@@ -525,7 +543,7 @@ def test_vec2pix_blocks_equal_whole_array(shape, scheme, nside):
         xyz.reshape(-1, 3)[:4] = poles
     got = sp.vec2pix(nside, xyz, scheme)
     want = vec2pix_whole(nside, xyz, scheme)
-    # one vector gives an int, as ang2pix's scalar path does
+    # one vector gives an int, as one direction does in ang2pix
     assert type(got) is type(want) is (int if shape == () else np.ndarray)
     assert np.shape(got) == shape
     assert np.array_equal(got, want)
