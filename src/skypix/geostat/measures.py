@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import healpix
 from ..errors import DomainError, StratificationError
-from ..frame import CMB, extract_window, window_mask
+from ..frame import CMB, window_mask
 
 __all__ = ["entropy", "first_minkowski", "renyi_function", "q_statistic",
            "qq_pairs", "angular_marginals"]
@@ -152,14 +152,12 @@ def qq_pairs(frame, column, region_a, region_b, n_quantiles=99):
     """
     if n_quantiles < 2:
         raise DomainError("n_quantiles must be >= 2")
-    a = extract_window(frame, region_a)
-    b = extract_window(frame, region_b)
-    if len(a) == 0 or len(b) == 0:
+    masks = [window_mask(frame, region) for region in (region_a, region_b)]
+    if not all(mask.any() for mask in masks):
         raise DomainError("both regions must hold data")
+    col = np.asarray(frame.column(column), dtype=np.float64)
     probs = np.linspace(0.0, 1.0, n_quantiles)
-    qa = np.quantile(np.asarray(a.column(column), dtype=np.float64), probs)
-    qb = np.quantile(np.asarray(b.column(column), dtype=np.float64), probs)
-    return qa, qb
+    return tuple(np.quantile(col[mask], probs) for mask in masks)
 
 
 def angular_marginals(frame, column, theta_bins=18, phi_bins=36):

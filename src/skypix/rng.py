@@ -41,37 +41,25 @@ def _stream(seed, start, count):
 def _bounded_draws(n, k, seed):
     """Step ``i``'s draw from ``0..n-i-1`` for ``i = 0..k-1``, vectorised.
 
-    Stream word ``p`` serves step ``p - R(p)``, where ``R(p)`` counts the
-    rejected words before it.  Rejection depends on the step's bound, so
-    ``R`` is found by iterating to its fixed point; each round makes at
-    least one more leading word exact, and as a word's threshold barely
-    moves with the bound, two rounds normally settle it.
+    Every bound ``m`` is at most ``n``, so ``2^64 mod m < n`` and a word
+    below ``2^64 - n`` is never rejected.  Only the words at or above it are
+    tested, one at a time in stream order: word ``p`` serves step ``p - r``,
+    where ``r`` counts the words rejected before it.  Each rejected word is
+    replaced by the next word of the stream, tested the same way.
     """
-    draws = []
-    step = 0      # steps answered so far
-    used = 0      # stream words consumed so far
-    while step < k:
-        need = k - step
-        u = _stream(seed, used, need + need // 8 + 64)
-        words = np.arange(u.size, dtype=np.int64)
-        rejected = np.zeros(u.size, dtype=np.int64)
-        while True:
-            # words past the last step needed are clamped onto it
-            ahead = np.minimum(words - rejected, need - 1)
-            bound = np.uint64(n - step) - ahead.astype(np.uint64)
-            # accept u < 2^64 - (2^64 mod m), i.e. u <= MAX - (2^64 - m) mod m
-            limit = np.uint64(_MASK64) - (
-                np.uint64(_MASK64) - bound + np.uint64(1)) % bound
-            bad = u > limit
-            now = np.concatenate([[0], np.cumsum(bad)[:-1]])
-            if np.array_equal(now, rejected):
-                break
-            rejected = now
-        ok = np.flatnonzero(~bad)[:need]
-        draws.append(u[ok] % bound[ok])
-        step += ok.size
+    kept = [np.empty(0, dtype=np.uint64)]
+    used = rejected = 0   # stream words drawn so far, and rejected of them
+    while used - rejected < k:
+        u = _stream(seed, used, k - used + rejected)
+        keep = np.ones(u.size, dtype=bool)
+        high = np.flatnonzero(u >= np.uint64((1 << 64) - n))
+        for p, word in zip((used + high).tolist(), u[high].tolist()):
+            if word >= (1 << 64) - (1 << 64) % (n - p + rejected):
+                keep[p - used] = False
+                rejected += 1
+        kept.append(u[keep])
         used += u.size
-    return np.concatenate(draws) if draws else np.empty(0, dtype=np.uint64)
+    return np.concatenate(kept) % (np.uint64(n) - np.arange(k, dtype=np.uint64))
 
 
 def sample_without_replacement(n, k, seed):

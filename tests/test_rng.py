@@ -76,6 +76,7 @@ def test_sample_bounds():
     with pytest.raises(ValueError):
         sample_without_replacement(5, 6, seed=0)
     assert sample_without_replacement(5, 0, seed=0).size == 0
+    assert sample_without_replacement(0, 0, seed=0).size == 0
 
 
 @pytest.mark.parametrize("n, k, words", [
@@ -129,8 +130,13 @@ def _scalar_sample(n, k, seed):
        st.integers(0, 600), st.integers(0, 2 ** 64 - 1))
 @example(n=64, k=64, seed=5)
 @example(n=12 * 4 ** 29, k=600, seed=1)
+@example(n=12 * 4 ** 29, k=20000, seed=2)
+@example(n=2 ** 64 // 3 + 1, k=20000, seed=3)
+@example(n=2 ** 63 - 1, k=20000, seed=4)
+@example(n=5000, k=5000, seed=6)
 def test_bulk_draws_match_scalar_stream(n, k, seed):
-    # 12 * 4**29 rejects about 1 draw in 16 and 2**64 // 3 + 1 about 1 in 3
+    # 12 * 4**29 rejects about 1 draw in 16 and 2**64 // 3 + 1 about 1 in 3,
+    # so there the replacement words are themselves rejected, round on round
     k = min(k, n)
     assert (sample_without_replacement(n, k, seed).tolist()
             == _scalar_sample(n, k, seed))
