@@ -101,6 +101,12 @@ class SkyFrame:
             return sph2cart(self.coords[0][rows], self.coords[1][rows])
         return healpix.pix2vec(self.nside, self.pix[rows], self.scheme)
 
+    def nested_pix(self, rows=slice(None)):
+        """Nested keys of the selected rows, whatever the frame's scheme."""
+        if self.scheme == healpix.NESTED:
+            return self.pix[rows]
+        return healpix.ring2nest(self.nside, self.pix[rows])
+
     def with_scheme(self, scheme):
         """Same frame re-addressed under the other ordering scheme."""
         if scheme == self.scheme:
@@ -239,10 +245,7 @@ def window_mask(frame, region):
     region = WindowSet(region)
     if frame.coords is None:
         all_in, any_in, shift = _cell_bounds(frame.nside, region)
-        nest = frame.pix
-        if frame.scheme != healpix.NESTED:
-            nest = healpix.ring2nest(frame.nside, nest)
-        cell = (nest - 1) >> shift
+        cell = (frame.nested_pix() - 1) >> shift
     else:
         all_in, any_in = region.cap_bounds(*_grid_cells())
         # int16 holds the 2 * _GRID**2 + 1 cells

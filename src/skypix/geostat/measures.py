@@ -78,8 +78,7 @@ def renyi_function(frame, column, q_min=1.01, q_max=10.0, n_points=20,
     values = np.asarray(frame.column(column), dtype=np.float64)
     if values.size == 0:
         raise DomainError("empty frame")
-    pix = (frame.pix if frame.scheme == healpix.NESTED
-           else healpix.ring2nest(frame.nside, frame.pix))
+    pix = frame.nested_pix()
     boxes = (pix - 1) >> (2 * (j - box_level))
     if 12 * 4 ** box_level > len(pix):   # more boxes than rows
         boxes = np.unique(boxes, return_inverse=True)[1]

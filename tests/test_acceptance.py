@@ -117,11 +117,12 @@ def test_criterion_06():
     centers256 = sp.pix2vec(nside, np.arange(1, sp.npix(nside) + 1), sp.NESTED)
     target = np.array([0.6, 0.8, 0.0])
     sp.nest_search(nside, target)
-    # per-call time of the fastest of 5 batches: slower batches measure
+    # per-call time of the fastest of 15 batches: slower batches measure
     # what else the machine was doing, not the code.  The two sides'
-    # batches alternate, so a slow spell of the machine lands on both.
+    # batches alternate, so a slow spell of the machine lands on both, and
+    # one that spans several batches still leaves a few quiet ones.
     hier = linear = math.inf
-    for _ in range(5):
+    for _ in range(15):
         hier = min(hier, timeit.timeit(lambda: sp.nest_search(nside, target),
                                        number=100) / 100)
         linear = min(linear, timeit.timeit(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -114,6 +115,18 @@ def test_sample_deterministic(runner, small_map, tmp_path):
     assert len(f) == 50
 
 
+def catalogue_csv(tmp_path):
+    """2,000 points at nside 16, whose keys collide (an hp frame), with
+    longitudes outside [0, 2 pi), six of them +-1e300."""
+    rng = np.random.default_rng(1)
+    theta, phi = np.arccos(rng.uniform(-1, 1, 2000)), rng.uniform(-7, 14, 2000)
+    phi[:6] = (1e300, -1e300) * 3
+    f = frame.assign_pixels(theta, phi, {"I": rng.standard_normal(2000)}, 16)
+    frame.write_csv(f, tmp_path / "cat.csv")
+    assert f.mode == frame.HP
+    return str(tmp_path / "cat.csv")
+
+
 def test_window_report(runner, small_map, tmp_path):
     spec = tmp_path / "annulus.json"
     annulus = geom.WindowSet((geom.disc(math.pi / 2, 0, 0.5, complement=True),
@@ -130,6 +143,14 @@ def test_window_report(runner, small_map, tmp_path):
     assert abs(payload["covered_area"] - annulus_area) / annulus_area < 0.1
     extracted = frame.read_csv(out)
     assert len(extracted) == payload["rows"]
+    # a disc and its complement split the rows of an hp catalogue
+    rows = []
+    for complement in (False, True):
+        spec.write_text(json.dumps(geom.disc(1.2, 2.0, 0.7, complement).to_dict()))
+        result = invoke(runner, ["window", catalogue_csv(tmp_path), "--spec",
+                                 str(spec)])
+        rows.append(json.loads(result.output)["rows"])
+    assert min(rows) > 0 and sum(rows) == 2000, rows
 
 
 @pytest.mark.parametrize("ordering", ["nested", "ring"])
@@ -247,8 +268,16 @@ def test_renyi_qstat_qq_angdist(runner, small_map, tmp_path):
     assert result.exit_code == 0
     assert ang_out.read_text().startswith("axis,center,mean,count\n")
 
+    # on an hp catalogue with longitudes of +-1e300; at box level 3 its
+    # 2,000 rows fill 768 boxes with np.bincount, at 4, 3,072 with np.unique
+    for args in (["angdist"], ["renyi", "--box-level", "3"],
+                 ["renyi", "--box-level", "4"]):
+        assert invoke(runner, [args[0], catalogue_csv(tmp_path), *args[1:],
+                               "-o", str(out)]).exit_code == 0
 
-def test_qstat_overlapping_strata_exits_4(runner, small_map, tmp_path):
+
+def test_qstat_overlapping_strata_exits_4(runner, small_map, frame_csvs,
+                                         tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     a.write_text(json.dumps(geom.disc(0, 0, 1.0).to_dict()))
@@ -257,6 +286,17 @@ def test_qstat_overlapping_strata_exits_4(runner, small_map, tmp_path):
                                       "--strata", str(a), "--strata", str(b)])
     assert result.exit_code == 4
     assert "qstat" in result.output or "qstat" in (result.stderr or "")
+    # hemispheres split the sky CSV, the north one holding the equator
+    # ring; the north one and the sky overlap
+    a.write_text(json.dumps(geom.disc(0, 0, 1.5707973267948966).to_dict()))
+    b.write_text(json.dumps(geom.disc(math.pi, 0, 1.5707953267948966).to_dict()))
+    for other, code in ((b, 0), (tmp_path / "sky.json", 4)):
+        result = runner.invoke(cli.main, ["qstat", str(frame_csvs[2]),
+                                          "--strata", str(a), "--strata", str(other)])
+        assert result.exit_code == code
+    q = json.loads(invoke(runner, ["qstat", str(frame_csvs[2]), "--strata",
+                                   str(a), "--strata", str(b)]).output)
+    assert q["defined"] and 0 <= q["q"] <= 1, q
 
 
 def test_plot_outputs_svg(runner, small_map, tmp_path):
@@ -432,7 +472,12 @@ def test_cli_tables_bytes_are_pinned(runner, index_map, tmp_path):
     north.write_text(json.dumps(geom.disc(0, 0, math.pi / 2 - 1e-9).to_dict()))
     south.write_text(json.dumps(
         geom.disc(math.pi, 0, math.pi / 2 - 1e-9).to_dict()))
+    # sampled keys follow the splitmix64 stream (theta and phi are left
+    # out, as libm may differ in their last digits)
+    big_index = str(tmp_path / "mi.fits")
+    invoke(runner, ["mkfits", big_index, "--nside", "64", "--pattern", "index"])
     runs = {
+        "sample": ["sample", big_index, "--size", "5000", "--seed", "7"],
         "covps": ["covps", str(spec), "--lmax", "1", "--points", "3"],
         "renyi": ["renyi", str(index_map), "--points", "3",
                   "--box-level", "1"],
@@ -446,6 +491,10 @@ def test_cli_tables_bytes_are_pinned(runner, index_map, tmp_path):
         out = tmp_path / (name + ".csv")
         assert invoke(runner, args + ["-o", str(out)]).exit_code == 0
         got[name] = out.read_bytes()
+    keys = b"".join(row.split(b",")[0] + b"\n"
+                    for row in got["sample"].split(b"\r\n") if row)
+    assert hashlib.sha256(keys).hexdigest() == (
+        "402a524b12edbbdf009edc5407af1a1cb78a1e9b21c5c29056d22e3401a63773")
     assert got["covps"] == (
         b"cos_theta,value\r\n"
         b"1.0,1.1193662073189214\r\n"
@@ -621,17 +670,20 @@ CURVE_ARGS = [["--max-dist", "1", "--bins", "6"],
 @pytest.fixture
 def frame_csvs(runner, small_map, tmp_path):
     """A sample CSV holding every row of the map, a window CSV cut by
-    ``north.json``, and two disjoint strata inside that window."""
+    ``north.json``, two disjoint strata inside that window, and a window
+    CSV cut by ``sky.json``, which holds every pixel center."""
     specs = {"north": geom.disc(0, 0, 1.2), "cap": geom.disc(0, 0, 0.5),
-             "spot": geom.disc(0.9, 0, 0.25)}
+             "spot": geom.disc(0.9, 0, 0.25), "sky": geom.disc(0, 0, 3.14159)}
     for name, region in specs.items():
         (tmp_path / (name + ".json")).write_text(json.dumps(region.to_dict()))
-    whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
-    spec = tmp_path / "north.json"
+    whole, cut, sky = (tmp_path / n for n in ("whole.csv", "cut.csv", "sky.csv"))
     for args in (["sample", small_map, "--size", "3072", "-o", whole],
-                 ["window", small_map, "--spec", spec, "-o", cut]):
+                 ["window", small_map, "--spec", tmp_path / "north.json",
+                  "-o", cut],
+                 ["window", small_map, "--spec", tmp_path / "sky.json",
+                  "-o", sky]):
         assert invoke(runner, [str(a) for a in args]).exit_code == 0
-    return whole, cut
+    return whole, cut, sky
 
 
 def run(runner, args, out=None):
@@ -679,9 +731,10 @@ def test_curve_on_window_csv_equals_map_window(runner, small_map, frame_csvs,
 def test_commands_on_frame_csvs_equal_map(runner, small_map, frame_csvs,
                                           tmp_path, monkeypatch, command,
                                           args, window_args):
-    """On the sample CSV a command gives what it gives on the map; on the
-    window CSV, what it gives on the map cut by the same window (qstat's
-    strata and the window spec lie inside that window already)."""
+    """On the sample and sky CSVs a command gives what it gives on the map
+    (but for window's report, which names the windows it was cut by); on
+    the window CSV, what it gives on the map cut by the same window
+    (qstat's strata and the window spec lie inside that window already)."""
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out.csv" if command == "window" else None
 
@@ -692,6 +745,8 @@ def test_commands_on_frame_csvs_equal_map(runner, small_map, frame_csvs,
     assert on_map[0] == 0
     assert output(frame_csvs[0]) == on_map
     assert output(frame_csvs[1]) == output(small_map, window_args)
+    if command != "window":
+        assert output(frame_csvs[2]) == on_map
 
 
 def test_missing_csv_column_exits_2(runner, frame_csvs):

@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from numpy.testing import assert_allclose, assert_array_equal
 
 import skypix as sp
-from skypix import frame
+from skypix import cli, frame
 from skypix.errors import DomainError, FormatError
 from skypix.geostat import (EmpiricalCurve, empirical,
                             empirical_covariance, empirical_variogram)
@@ -127,6 +128,14 @@ def test_estimators_match_brute_force(random_frame):
         iu, ju = np.triu_indices(len(f), k=1)
         within = np.sum(sp.geodesic_distance(xyz[iu], xyz[ju]) <= max_dist)
         assert lower <= within <= upper
+    # blocks come from nested keys, so one field keyed in RING and in
+    # NESTED order gives one curve
+    f = frame.full_frame(16, sp.RING, {
+        "I": np.random.default_rng(2).standard_normal(3072)})
+    ring, nest = (empirical_variogram(g, "I", 0.5, 8)
+                  for g in (f, f.with_scheme(sp.NESTED)))
+    assert_array_equal(ring.counts, nest.counts)
+    assert_allclose(ring.values, nest.values, rtol=1e-12)
 
 
 def test_pair_at_max_dist_and_on_bin_edge_placement():
@@ -214,7 +223,7 @@ def test_pair_subsampling_close_to_exact():
     assert_array_equal(sub.values, again.values)
 
 
-def test_pair_budget_counts_pairs_in_range():
+def test_pair_budget_counts_pairs_in_range(tmp_path):
     # 768 rows make 294,528 pairs, of which only a few thousand lie within
     # 0.2 rad: a budget between the two keeps the estimate exact
     rng = np.random.default_rng(6)
@@ -227,6 +236,14 @@ def test_pair_budget_counts_pairs_in_range():
     assert_allclose(at_budget.values, exact.values, rtol=1e-12)
     over = empirical_variogram(f, "I", 0.2, 4, pair_budget=in_range - 1)
     assert not np.array_equal(over.counts, exact.counts)
+    # through the CLI, an nside-64 map's ~2.8e8 pairs within 1 rad pass
+    # PAIR_BUDGET: a row subsample's counts are scaled, so not whole
+    m64, out = str(tmp_path / "m64.fits"), str(tmp_path / "v64.csv")
+    for args in (["mkfits", m64, "--nside", "64"], ["variogram", m64,
+                 "--max-dist", "1", "--bins", "8", "-o", out]):
+        assert CliRunner().invoke(cli.main, args).exit_code == 0
+    counts = EmpiricalCurve.read_csv(out).counts
+    assert not np.all(counts == np.round(counts)), counts
 
 
 def test_coincident_rows_do_not_count_towards_budget():
@@ -259,18 +276,25 @@ def test_coincident_pairs_match_brute_force():
 
 
 @pytest.mark.parametrize("level", [24, 27, 29])
-def test_adjacent_deep_centers_make_one_pair(level):
-    # the centers of a nested pixel near (1.3, 0.7) and of its north
-    # neighbour, 8.2e-8 to 2.6e-9 rad apart, are a pair in range of twice
-    # their chord
-    nside = 2 ** level
-    p = sp.ang2pix(nside, 1.3, 0.7, sp.NESTED)
-    pix = np.array([p, sp.neighbours_index(nside, p)[3]])
-    a, b = sp.pix2vec(nside, pix, sp.NESTED)
-    f = frame.SkyFrame(pix, sp.NESTED, nside, {"I": np.array([0.0, 1.0])})
-    curve = empirical_variogram(f, "I", 2 * np.linalg.norm(a - b), 1)
-    assert curve.counts.tolist() == [1.0]
-    assert curve.values.tolist() == [0.5]
+def test_adjacent_deep_centers_make_one_pair(level, tmp_path):
+    # the centers of a nested pixel near (1.3, 0.7), or on the equator, and
+    # of its north neighbour, 8.2e-8 to 2.5e-9 rad apart, are a pair in
+    # range of twice their chord; so through a frame CSV and the CLI
+    nside, csv, out = 2 ** level, str(tmp_path / "d.csv"), tmp_path / "v.csv"
+    for theta, phi in [(1.3, 0.7), (math.pi / 2, 0.0)]:
+        p = sp.ang2pix(nside, theta, phi, sp.NESTED)
+        pix = np.array([p, sp.neighbours_index(nside, p)[3]])
+        a, b = sp.pix2vec(nside, pix, sp.NESTED)
+        f = frame.SkyFrame(pix, sp.NESTED, nside, {"I": np.array([0.0, 1.0])})
+        max_dist = 2 * float(np.linalg.norm(a - b))
+        curve = empirical_variogram(f, "I", max_dist, 1)
+        assert curve.counts.tolist() == [1.0]
+        assert curve.values.tolist() == [0.5]
+        frame.write_csv(f, csv)
+        assert CliRunner().invoke(cli.main, [
+            "variogram", csv, "--max-dist", repr(max_dist), "--bins", "1",
+            "-o", str(out)]).exit_code == 0
+        assert EmpiricalCurve.read_csv(out).counts.tolist() == [1.0]
 
 
 def test_coincident_rows_sit_at_lag_zero_in_any_direction():
@@ -312,6 +336,37 @@ def test_blocks_of_one_position_are_not_paired(monkeypatch):
     _, var, counts = brute_curves(f.positions(), values, math.pi, 6)
     assert_array_equal(vario.counts, counts)
     assert_allclose(vario.values, var, rtol=1e-12)
+
+
+def test_block_pairs_follow_the_rule_over_all_block_pairs(monkeypatch):
+    # the pass enters, in order, the block pairs b >= a within the chord of
+    # both rims, less pairs of blocks at one position: on 46 blocks of
+    # radius 0 to 0.8 (a cluster, 800 coincident rows, sparse rows), at pi,
+    # and on 768 blocks
+    calls, pairs_within = [], empirical._pairs_within
+
+    def spy(*args):
+        calls.append((args, list(pairs_within(*args))))
+        return iter(calls[-1][1])
+
+    theta, phi = (np.append(c, np.full(800, 1.0))
+                  for c in clustered_frame().angles())
+    clustered = frame.assign_pixels(theta, phi, {"I": np.arange(2800.0)}, 64)
+    whole = frame.full_frame(64, columns={"I": np.zeros(sp.npix(64))})
+    monkeypatch.setattr(empirical, "_pairs_within", spy)
+    for f, max_dist in [(clustered, 0.05), (clustered, math.pi), (whole, 0.01)]:
+        empirical_variogram(f, "I", max_dist, 4)
+    assert [len(args[1]) for args, _ in calls] == [46, 46, 768]
+    for (_, ranges, centers, radii, spots, max_dist), yielded in calls:
+        a, b = np.triu_indices(len(ranges))
+        rule = np.linalg.norm(centers[b] - centers[a], axis=1) - radii[a] \
+            - radii[b] <= 2 * math.sin(max_dist / 2) * (1 + 1e-9)
+        rule &= ~np.all(spots[b] == spots[a], axis=1)
+        assert len(yielded) == rule.sum()
+        for (done, i, j), a, b in zip(yielded, a[rule], b[rule]):
+            (lo, hi), (lo_b, hi_b) = ranges[a], ranges[b]
+            assert done == hi
+            assert np.all((lo <= i) & (i < hi) & (lo_b <= j) & (j < hi_b))
 
 
 # sha256 of (values, counts) of both curves on sampled_frame() at max_dist
