@@ -146,64 +146,41 @@ def _pair_bounds(ranges, centers, radii, max_dist):
     return (lower if near >= 0 else 0), upper
 
 
-def _near_blocks(centers, radii, spots, chord):
-    """Block pairs ``(a, b)``, ``b >= a``, ordered by ``a`` then ``b``,
-    whose centers lie within ``chord`` of each other's rims, less those of
-    two blocks whose rows all share one position (``spots``).  Candidates
-    come from k-d queries between groups of blocks whose radii share a
-    binary exponent, each at ``chord`` plus the largest radius of either
-    group, so a few wide blocks do not widen every query; they are queried
-    ``_BLOCK * 16`` blocks at a time, and only the near pairs are kept."""
-    from scipy.spatial import cKDTree
-
-    def near(a, b):
-        gap = np.linalg.norm(centers[b] - centers[a], axis=1)
-        keep = gap - radii[a] - radii[b] <= chord
-        keep &= ~np.all(spots[b] == spots[a], axis=1)   # NaN never equal
-        return a[keep], b[keep]
-
-    exps = np.where(radii > 0, np.frexp(radii)[1], np.iinfo(np.int32).min)
-    # int32 block numbers halve the pairs held
-    groups = [np.flatnonzero(exps == e).astype(np.int32)
-              for e in np.unique(exps)]
-    trees = [cKDTree(centers[g]) for g in groups]
-    every = np.arange(len(radii), dtype=np.int32)
-    pairs = [near(every, every)]
-    for k, rows in enumerate(groups):
-        for others, other in zip(groups[k:], trees[k:]):
-            reach = (chord + radii[rows].max() + radii[others].max()) * (
-                1 + 1e-9)
-            for lo in range(0, len(rows), _BLOCK * 16):
-                part = rows[lo:lo + _BLOCK * 16]
-                m = cKDTree(centers[part]).sparse_distance_matrix(
-                    other, reach, output_type="ndarray")
-                i, j = part[m["i"]], others[m["j"]]
-                if others is rows:   # each pair twice, and each with itself
-                    i, j = i[i < j], j[i < j]
-                pairs.append(near(np.minimum(i, j), np.maximum(i, j)))
-    a, b = (np.concatenate(x) for x in zip(*pairs))
-    order = np.lexsort((b, a))
-    return a[order], b[order]
-
-
 def _pairs_within(pos, ranges, centers, radii, spots, max_dist):
     """Yield ``(done, i, j)``: row arrays ``i``, ``j`` holding, once each,
     every pair of rows of ``pos`` whose chord may put it within
     ``max_dist``, one block pair (at most ``_BLOCK**2`` pairs) at a time,
-    and the rows ``done`` of the blocks entered so far.  Two blocks whose
+    and the rows ``done`` of the blocks entered so far.  Block pairs
+    ``(a, b)``, ``b >= a``, come in order of ``a`` then ``b`` when their
+    centers lie within the chord of each other's rims; two blocks whose
     rows all share one position (``spots``), or one such block with itself,
-    hold only pairs at lag zero and are not paired."""
+    hold only pairs at lag zero and are not paired.  Candidates come from a
+    k-d query over all block centers, a few blocks ``a`` at a time, so at
+    most ``2**18`` are held and a caller that stops early stops the pass."""
     from scipy.spatial import cKDTree
     chord = 2 * math.sin(max_dist / 2) * (1 + 1e-9)
     trees = [cKDTree(pos[lo:hi]) for lo, hi in ranges]
-    for a, b in zip(*_near_blocks(centers, radii, spots, chord)):
-        m = trees[a].sparse_distance_matrix(trees[b], chord,
-                                            output_type="ndarray")
-        i, j = m["i"], m["j"]
-        if a == b:
-            upper = j > i
-            i, j = i[upper], j[upper]
-        yield ranges[a][1], ranges[a][0] + i, ranges[b][0] + j
+    every, widest = cKDTree(centers), radii.max()
+    # a block has at most len(ranges) candidates
+    step = max(1, 2 ** 18 // len(ranges))
+    for lo in range(0, len(ranges), step):
+        part = slice(lo, lo + step)
+        reach = (chord + radii[part].max() + widest) * (1 + 1e-9)
+        m = cKDTree(centers[part]).sparse_distance_matrix(
+            every, reach, output_type="ndarray")
+        a, b = lo + m["i"], m["j"]
+        gap = np.linalg.norm(centers[b] - centers[a], axis=1)
+        keep = (b >= a) & (gap - radii[a] - radii[b] <= chord)
+        keep &= ~np.all(spots[b] == spots[a], axis=1)   # NaN never equal
+        near = np.column_stack((a[keep], b[keep]))
+        for a, b in near[np.lexsort((near[:, 1], near[:, 0]))].tolist():
+            m = trees[a].sparse_distance_matrix(trees[b], chord,
+                                                output_type="ndarray")
+            i, j = m["i"], m["j"]
+            if a == b:
+                upper = j > i
+                i, j = i[upper], j[upper]
+            yield ranges[a][1], ranges[a][0] + i, ranges[b][0] + j
 
 
 def _pair_bins(frame, column, max_dist, bins, pair_budget, seed, mode):
