@@ -8,6 +8,8 @@ payload; opening a file touches the header blocks only.  Reads map the
 file read-only and copy out the requested rows in one gather, or each
 column of the whole table with no gather, recording each payload access on
 the source as one ``(offset, length)`` extent per contiguous run of rows.
+The extents are kept as the offset and length arrays each read computes,
+and appear as pairs only when the record is iterated or indexed.
 
 Structure recap: 2880-byte logical blocks; headers are 80-character ASCII
 cards ``KEYWORD = value / comment`` ended by ``END``; the table payload
@@ -17,6 +19,7 @@ follows the extension header, zero-padded to a block boundary.
 import math
 import mmap
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,13 +104,13 @@ def _read_header_blocks(fh):
             return cards, consumed
 
 
-def _int_card(cards, key, default=None, lowest=0):
-    """An integer header card's value, at least ``lowest``; anything else,
+def _int_card(cards, key, default=None, lowest=0, highest=2 ** 63 - 1):
+    """An integer header card's value in ``lowest..highest``; anything else,
     a missing card without a default included, raises ``FormatError``."""
     value = cards.get(key, default)
-    if type(value) is not int or value < lowest:
-        raise FormatError("header card %s must hold an integer >= %d, not %r"
-                          % (key, lowest, value))
+    if type(value) is not int or not lowest <= value <= highest:
+        raise FormatError("header card %s must hold an integer in %d..%d, "
+                          "not %r" % (key, lowest, highest, value))
     return value
 
 
@@ -124,6 +127,58 @@ def _map_nside(card, row_count):
         raise FormatError("NSIDE card %r is not an integer power of two in "
                           "[1, 2^%d]" % (card, healpix.MAX_LEVEL))
     return card
+
+
+class ExtentLog(Sequence):
+    """The ``(offset, length)`` payload extents of a source, in read order.
+
+    Each read appends the int64 offset and length arrays it computed, one
+    entry per contiguous run.  Recording, ``len``, slicing and ``nbytes``
+    work on those arrays; pairs of ints are built only by iteration and
+    indexing.  A log equals another log or a list of the same pairs.
+    """
+
+    def __init__(self, offsets=None, lengths=None):
+        self._reads = [] if offsets is None else [(offsets, lengths)]
+        self._size = 0 if offsets is None else offsets.size
+
+    def record(self, offsets, lengths):
+        """Append one read's extents."""
+        self._reads.append((offsets, lengths))
+        self._size += offsets.size
+
+    def _arrays(self):
+        """Every extent as one offsets and one lengths array."""
+        if not self._reads:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        if len(self._reads) > 1:
+            self._reads = [tuple(map(np.concatenate, zip(*self._reads)))]
+        return self._reads[0]
+
+    @property
+    def nbytes(self):
+        return sum(int(lengths.sum()) for _, lengths in self._reads)
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, key):
+        offsets, lengths = self._arrays()
+        if isinstance(key, slice):
+            return ExtentLog(offsets[key], lengths[key])
+        return int(offsets[key]), int(lengths[key])
+
+    def __iter__(self):
+        for offsets, lengths in self._reads:
+            yield from zip(offsets.tolist(), lengths.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, (ExtentLog, list)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self):
+        return "ExtentLog(%d extents, %d bytes)" % (len(self), self.nbytes)
 
 
 @dataclass(eq=False)
@@ -143,11 +198,11 @@ class MapSource:
     row_count: int
     columns: list
     data_start: int
-    payload_reads: list = field(default_factory=list)
+    payload_reads: ExtentLog = field(default_factory=ExtentLog)
 
     @property
     def payload_bytes_read(self):
-        return sum(length for _, length in self.payload_reads)
+        return self.payload_reads.nbytes
 
     def _row_dtype(self):
         return np.dtype({"names": [c.name for c in self.columns],
@@ -168,8 +223,10 @@ class MapSource:
 
         The rows are copied out of the mapped payload in one gather, and
         each contiguous run is recorded as one ``(offset, length)`` extent
-        in ``payload_reads``.  Only the selected columns are byte-swapped;
-        the arrays own their data, and no view of the mapping outlives it.
+        in ``payload_reads``, which keeps the offset and length arrays the
+        gather computes and gives them back as pairs.  Only the selected
+        columns are byte-swapped; the arrays own their data, and no view of
+        the mapping outlives it.
         """
         names = self._check_columns(columns)
         rows = np.asarray(rows, dtype=np.int64)
@@ -198,8 +255,7 @@ class MapSource:
         first = np.concatenate([[0], np.flatnonzero(steps > 1) + 1])
         counts = np.diff(np.append(first, rows.size))
         offsets = self.data_start + (rows[first] - 1) * self.row_bytes
-        self.payload_reads.extend(zip(offsets.tolist(),
-                                      (counts * self.row_bytes).tolist()))
+        self.payload_reads.record(offsets, counts * self.row_bytes)
         return payload[rows[0] - 1:] if first.size == 1 else payload[rows - 1]
 
     def read_all(self, columns=None):
@@ -208,7 +264,8 @@ class MapSource:
         names = self._check_columns(columns)
         raw = self._payload(self.row_count)
         if raw.size:
-            self.payload_reads.append((self.data_start, raw.nbytes))
+            self.payload_reads.record(np.array([self.data_start]),
+                                      np.array([raw.nbytes]))
         return {name: raw[name].astype(raw[name].dtype.newbyteorder("="))
                 for name in names}
 
@@ -234,20 +291,22 @@ def open_map(path):
         if pdict.get("SIMPLE") is not True:
             raise FormatError("not a FITS file (missing SIMPLE = T)")
         # skip any primary data (BITPIX/NAXIS driven); map files carry none
-        naxis = _int_card(pdict, "NAXIS", 0)
+        naxis = _int_card(pdict, "NAXIS", 0, highest=999)
         if naxis:
             # floating-point data has a negative BITPIX
-            size = abs(_int_card(pdict, "BITPIX", 8, lowest=-64)) // 8
+            size = abs(_int_card(pdict, "BITPIX", 8, -64, 64)) // 8
             for i in range(1, naxis + 1):
                 size *= _int_card(pdict, "NAXIS%d" % i, 0)
             consumed += ((size + BLOCK - 1) // BLOCK) * BLOCK
+            if consumed > os.fstat(fh.fileno()).st_size:
+                raise FormatError("truncated primary data")
             fh.seek(consumed)
         ext, ext_bytes = _read_header_blocks(fh)
     edict = dict(ext)
     if str(edict.get("XTENSION", "")).strip() != "BINTABLE":
         raise FormatError("first extension is not a BINTABLE")
-    row_bytes, row_count, tfields = (_int_card(edict, key) for key in
-                                     ("NAXIS1", "NAXIS2", "TFIELDS"))
+    row_bytes, row_count = (_int_card(edict, k) for k in ("NAXIS1", "NAXIS2"))
+    tfields = _int_card(edict, "TFIELDS", lowest=1, highest=999)
     columns = []
     for i in range(1, tfields + 1):
         tform = str(edict.get("TFORM%d" % i, "")).strip()

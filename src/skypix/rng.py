@@ -14,9 +14,10 @@ host platform and of any library RNG, so the generator is pinned down here:
 * Bounded draws use rejection: a draw ``u`` is accepted when
   ``u < 2^64 - (2^64 mod m)`` and the result is ``u mod m``.
 
-* A without-replacement sample of ``k`` items from ``1..n`` runs a partial
-  Fisher-Yates shuffle over the virtual identity array, materialising only
-  the touched entries, and returns the first ``k`` entries sorted ascending.
+* A without-replacement sample of ``k`` items from ``1..n`` is the set of
+  the first ``k`` entries of the virtual identity array after a partial
+  Fisher-Yates shuffle, sorted ascending.  The set is resolved from the
+  draws with array operations; the swaps themselves are never run.
 """
 
 import numpy as np
@@ -65,22 +66,39 @@ def _bounded_draws(n, k, seed):
 def sample_without_replacement(n, k, seed):
     """Sorted simple random sample of ``k`` distinct integers from ``1..n``.
 
-    Partial Fisher-Yates over a virtual array; memory is O(k).  The draws
-    come from the splitmix64 stream in bulk and equal those of the scalar
-    oracle in ``tests/test_rng.py``, one step at a time.  Indices are
-    int64, so ``n`` must be below 2**63.
+    The set a partial Fisher-Yates shuffle leaves in positions ``0..k-1``,
+    where step ``i`` swaps positions ``i`` and ``j_i = i + draw_i``.  The
+    draws come from the splitmix64 stream in bulk and equal those of the
+    scalar oracle in ``tests/test_rng.py``, one step at a time; the swaps
+    are not run.  They permute the values of positions ``0..k-1`` and of
+    the far positions ``j_i >= k`` among themselves, so the sample is
+    ``1..k`` and each far position plus one, less the values left at far
+    positions.  Those are found by pointer doubling; memory is O(k).
+    Indices are int64, so ``n`` must be below 2**63.
     """
     if n >= 2 ** 63:
         raise DomainError("population size %d must be below 2**63" % n)
     if not 0 <= k <= n:
         raise DomainError("sample size %d must be in 0..%d" % (k, n))
-    swapped = {}
-    picked = []
-    for i, d in enumerate(_bounded_draws(n, k, seed).tolist()):
-        j = i + d
-        picked.append(swapped.get(j, j + 1))
-        swapped[j] = swapped.get(i, i + 1)
-    return np.sort(np.array(picked, dtype=np.int64))
+    steps = np.arange(k, dtype=np.int64)
+    dest = steps + _bounded_draws(n, k, seed).astype(np.int64)
+    # when step t runs, position t holds what position s held when step s
+    # ran, s the last earlier step with j_s = t; at the end of that chain,
+    # a step no earlier step wrote to, position origin[t] holds origin[t] + 1
+    back = steps[(dest < k) & (dest > steps)]
+    origin = np.full(k, -1, dtype=np.int64)
+    np.maximum.at(origin, dest[back], back)
+    origin = np.where(origin < 0, steps, origin)
+    while not np.array_equal(hop := origin[origin], origin):
+        origin = hop
+    # a far position holds what its last writer t took from position t
+    far = np.flatnonzero(dest >= k)
+    writers = far[np.argsort(dest[far])]
+    held = dest[writers]
+    starts = np.flatnonzero(np.diff(held, prepend=-1))
+    keep = np.ones(k, dtype=bool)
+    keep[origin[np.maximum.reduceat(writers, starts)]] = False
+    return np.concatenate([np.flatnonzero(keep) + 1, held[starts] + 1])
 
 
 def numpy_generator(seed):

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from skypix import cli, fits
-from skypix.errors import BoundsError, DomainError, FormatError, SchemaError
+from skypix.errors import (BoundsError, DomainError, FormatError,
+                           SchemaError, SkypixError)
 
 
 @pytest.fixture
@@ -186,6 +187,68 @@ def test_gather_matches_brute_force_decode(mixed_map, picked, names):
         assert out[name].flags.writeable and out[name].flags.owndata
     assert len(new) == _runs(rows)
     assert sum(n for _, n in new) == rows.size * src.row_bytes
+
+
+def _split_runs(src, rows):
+    """``(offset, length)`` of each run of consecutive rows, one row at a
+    time."""
+    pairs = []
+    for row in rows:
+        offset = src.data_start + (row - 1) * src.row_bytes
+        if pairs and sum(pairs[-1]) == offset:
+            pairs[-1] = (pairs[-1][0], pairs[-1][1] + src.row_bytes)
+        else:
+            pairs.append((offset, src.row_bytes))
+    return pairs
+
+
+_READ = st.one_of(st.tuples(st.just("rows"), st.sets(st.integers(1, 64))),
+                  st.tuples(st.just("sample"), st.integers(1, 64),
+                            st.integers(0, 2 ** 64 - 1)),
+                  st.tuples(st.just("all")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_READ, max_size=6), st.integers(-8, 8))
+def test_extent_log_matches_split_runs(mixed_map, reads, cut):
+    src = fits.open_map(mixed_map)
+    log, expect = src.payload_reads, []
+    for read in reads:
+        if read[0] == "rows":
+            rows = sorted(read[1])
+            src.read_rows(rows, ["E"])
+        elif read[0] == "sample":
+            rows = src.sample_rows(read[1], read[2], ["J"])[1].tolist()
+        else:
+            src.read_all(["D"])
+            rows = range(1, src.row_count + 1)
+        expect += _split_runs(src, rows)
+        assert len(log) == len(expect)
+        assert log == expect and expect == log
+        assert src.payload_bytes_read == sum(n for _, n in expect)
+    assert list(log) == expect
+    assert all(type(v) is int for pair in log for v in pair)
+    assert [log[i] for i in range(-len(log), len(log))] == expect + expect
+    for part in (slice(cut, None), slice(None, cut), slice(None, None, 2)):
+        assert len(log[part]) == len(expect[part])
+        assert log[part] == expect[part] and expect[part] == log[part]
+        assert log[part].nbytes == sum(n for _, n in expect[part])
+    assert log != expect + [(0, 8)] and expect + [(0, 8)] != log
+    assert log == log[:] and log[:] == log
+
+
+def test_extent_log_repr_is_short(tmp_path, small_map):
+    src = fits.open_map(small_map)
+    src.read_rows([1, 2, 4, 7, 11])
+    assert repr(src.payload_reads) == "ExtentLog(4 extents, 40 bytes)"
+    path = tmp_path / "mid.fits"
+    fits.write_map(path, {"I": np.zeros(12 * 64 * 64, dtype=np.float32)},
+                   nside=64)
+    src = fits.open_map(path)
+    src.sample_rows(20000, seed=1)
+    assert "payload_reads=ExtentLog(%d extents, 80000 bytes)" % len(
+        src.payload_reads) in repr(src)
+    assert len(repr(src)) < 400
 
 
 @pytest.fixture
@@ -410,3 +473,45 @@ def test_open_rejects_unterminated_string_card(tmp_path, small_map):
 def test_missing_file(tmp_path):
     with pytest.raises(FormatError):
         fits.open_map(tmp_path / "nope.fits")
+
+
+_CARD_VALUES = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.sampled_from(["0", "1", "-1", "999", "1000", "T", "F", "", "1.5",
+                     "1E400", "NAN", "'1E'", "'1D'", "'2E'", "'1X'", "'E'",
+                     "''", "'", "'unterminated", "64 / comment"]))
+_CARD = st.one_of(
+    st.builds("{:<8}= {:>20}".format,
+              st.sampled_from(["NAXIS2", "NSIDE", "TFORM1", "TFORM2",
+                               "BITPIX", "NAXIS", "NAXIS1", "TFIELDS"]),
+              _CARD_VALUES),
+    st.sampled_from(["END", "", "COMMENT"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 19), _CARD),
+                max_size=3),
+       st.one_of(st.none(), st.integers(0, 3 * fits.BLOCK)))
+@example(cards=[(0, 2, "NAXIS   = 1"), (0, 3, "NAXIS1  = %d" % 2 ** 70)],
+         cut=None)
+@example(cards=[(0, 2, "NAXIS   = 1000000000")], cut=None)
+@example(cards=[(1, 3, "NAXIS1  = 0"), (1, 7, "TFIELDS = 0")], cut=None)
+def test_open_map_fuzz_raises_only_skypix_errors(mixed_map, cards, cut):
+    # overwrite header cards of either HDU, then maybe cut the file short;
+    # the examples are primary data of 2^70 bytes, which must not reach
+    # seek, a NAXIS whose NAXISn cards must not be looked up one by one,
+    # and a table of no columns, which once opened and read as {}
+    blob = bytearray(mixed_map.read_bytes())
+    for hdu, slot, card in cards:
+        at = hdu * fits.BLOCK + slot * fits.CARD
+        blob[at:at + fits.CARD] = card[:fits.CARD].ljust(fits.CARD).encode()
+    path = mixed_map.parent / "fuzzed.fits"
+    path.write_bytes(bytes(blob[:cut]))
+    try:
+        src = fits.open_map(path)
+        assert src.columns
+        src.read_all()
+        src.read_rows([1, 2, 5])
+        src.sample_rows(1, seed=0)
+    except SkypixError:
+        pass

@@ -134,9 +134,20 @@ def _scalar_sample(n, k, seed):
 @example(n=2 ** 64 // 3 + 1, k=20000, seed=3)
 @example(n=2 ** 63 - 1, k=20000, seed=4)
 @example(n=5000, k=5000, seed=6)
+@example(n=2, k=2, seed=7)
+@example(n=2, k=1, seed=8)
+@example(n=3, k=3, seed=9)
+@example(n=3, k=2, seed=10)
+@example(n=257, k=257, seed=11)
+@example(n=257, k=256, seed=12)
+@example(n=1000, k=1000, seed=13)
+@example(n=1000, k=999, seed=14)
+@example(n=3_145_728, k=154_638, seed=15)
 def test_bulk_draws_match_scalar_stream(n, k, seed):
     # 12 * 4**29 rejects about 1 draw in 16 and 2**64 // 3 + 1 about 1 in 3,
-    # so there the replacement words are themselves rejected, round on round
+    # so there the replacement words are themselves rejected, round on round;
+    # with k near n most steps swap into 0..k-1 and the chains that carry a
+    # value from step to step run long (the whole-map variogram sample too)
     k = min(k, n)
     assert (sample_without_replacement(n, k, seed).tolist()
             == _scalar_sample(n, k, seed))
